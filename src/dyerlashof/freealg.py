@@ -8,7 +8,19 @@ bidegree (p^l g, n + d_Z(I)) and carries charge p^l, l the word length.
 
 Monomials in these classes, sorted under a fixed total order and with
 repetition of a factor allowed only when its degree-plus-twist parity is
-even, form a basis; poincare_table counts them per (g, n, charge).
+even, form a basis.  So the Poincare series is a product over Q(S):
+
+    prod over repeatable b of 1/(1 - t^b)  *  prod over the others of (1 + t^b),
+
+t^b standing for the class's (g, n, charge).  poincare_table expands this
+product truncated at the charge and degree cutoffs, and counts without
+building a monomial.  By the degree law a class of charge p^l over a
+generator of degree n has degree >= p^l n, so with nu <= 0 the least
+generator degree (or 0) every class has degree >= nu * charge.  A partial
+product of degree n and charge c can then only complete to degree
+>= n + nu * (max_charge - c), and is dropped when that exceeds max_degree.
+_enumerate_monomials lists the monomials themselves, for callers that need
+labels, and serves as the tests' oracle for the counts.
 
 enumerate_dmodule_basis lists the larger free-module basis (weak inequality
 e(I) >= n, no top-level product structure): the words excluded from Q(S) by
@@ -123,7 +135,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
     n = gen.n
     par = ctx.chi.parity(gen.g)
     if max_charge < 1:
-        return
+        return []
     levels = 0
     c = 1
     while c * p <= max_charge:
@@ -148,10 +160,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
         nonlocal nodes
         nodes += 1
         if nodes > ctx.budget:
-            raise ResourceError(
-                f"enumeration exceeded budget of {ctx.budget} nodes; "
-                "lower max_degree/max_charge or raise the budget"
-            )
+            raise _over_budget(ctx, "enumeration")
         depth = len(word)
         if m <= max_degree:
             if strict:
@@ -359,64 +368,74 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraEleme
 # basis enumeration per bidegree and Poincare tables
 
 
-def _min_qclass_degree(ctx: Context, max_charge) -> int:
-    """Lower bound for the internal degree of any QClass (degree law:
-    d >= p^l n, so negative generator degrees set the floor)."""
-    floor = 0
-    levels = 0
-    c = 1
-    while c * ctx.p <= max_charge:
-        c *= ctx.p
-        levels += 1
-    for gen in ctx.generators:
-        floor = min(floor, gen.n if gen.n >= 0 else gen.n * ctx.p**levels)
-    return floor
+def _degree_floor(ctx: Context) -> int:
+    """Lower bound for the internal degree of any QClass per unit of charge
+    (degree law: d >= p^l n, so negative generator degrees set the floor)."""
+    return min([0] + [gen.n for gen in ctx.generators])
+
+
+def _candidates(ctx: Context, max_degree, max_charge):
+    """The classes of Q(S) that can divide a monomial with degree <=
+    max_degree and charge <= max_charge, with the powers each may appear in.
+
+    Returns (nu, cands): nu is _degree_floor, and cands lists (qc, powers)
+    in sort_key order, where powers holds (r, r*g, r*n, r*charge) for r = 1
+    only (an exterior class) or for every r with r*charge <= max_charge (a
+    repeatable class).  A factor of charge k sits beside others of total
+    charge <= max_charge - k and so of total degree >= nu * (max_charge - k),
+    which caps its own degree at max_degree - nu * (max_charge - 1).
+    """
+    nu = _degree_floor(ctx)
+    cands = []
+    for qc in enumerate_qset(ctx.generators, max_degree - nu * (max_charge - 1),
+                             max_charge, ctx):
+        g, n = qc.bidegree(ctx)
+        k = qc.charge(ctx.p)
+        top = max_charge // k if _repeatable(qc, ctx) else 1
+        powers = [(r, ctx.group.scale(r, g), r * n, r * k) for r in range(1, top + 1)]
+        cands.append((qc, powers))
+    return nu, cands
+
+
+def _over_budget(ctx: Context, what: str) -> ResourceError:
+    return ResourceError(
+        f"{what} exceeded budget of {ctx.budget} nodes; "
+        "lower max_degree/max_charge or raise the budget"
+    )
 
 
 def _enumerate_monomials(ctx: Context, max_degree, max_charge):
-    """Yield (factors, g, n, charge) for every monomial with n <= max_degree
-    and charge <= max_charge (the empty monomial included)."""
-    mu = _min_qclass_degree(ctx, max_charge)
-    deg_cap = max_degree + max(0, -mu) * (max_charge - 1) if max_charge >= 1 else max_degree
-    cands = enumerate_qset(ctx.generators, deg_cap, max_charge, ctx)
-    degs = [qc.degree(ctx.p) for qc in cands]
+    """List (factors, g, n, charge) for every monomial with n <= max_degree
+    and charge <= max_charge (the empty monomial included).
+
+    Each walk node costs one unit of ctx.budget; raises ResourceError past it.
+    """
+    _, cands = _candidates(ctx, max_degree, max_charge)
+    add = ctx.group.add_canonical
+    degs = [powers[0][2] for _, powers in cands]
     # suffix minima of candidate degrees, for pruning partial products
     suffix_min = [0] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
         suffix_min[i] = min(degs[i], suffix_min[i + 1])
     results = []
-
-    def emit(stack, g, n, charge):
-        if n <= max_degree:
-            results.append((tuple(stack), g, n, charge))
+    nodes = 0
 
     def walk(i, stack, g, n, charge):
-        emit(stack, g, n, charge)
+        nonlocal nodes
+        nodes += 1
+        if nodes > ctx.budget:
+            raise _over_budget(ctx, "monomial enumeration")
+        if n <= max_degree:
+            results.append((tuple(stack), g, n, charge))
         for j in range(i, len(cands)):
-            qc = cands[j]
-            qcharge = qc.charge(ctx.p)
-            if charge + qcharge > max_charge:
-                continue
-            # degree floor: everything still addable has degree >= suffix_min[j]
-            if n + degs[j] + 0 > max_degree and degs[j] >= 0 and suffix_min[j] >= 0:
-                continue
-            qg, qn = qc.bidegree(ctx)
-            reps = [1]
-            if _repeatable(qc, ctx):
-                r, tot = 2, charge + 2 * qcharge
-                while tot <= max_charge:
-                    reps.append(r)
-                    r += 1
-                    tot += qcharge
-            for r in reps:
-                if charge + r * qcharge > max_charge:
+            qc, powers = cands[j]
+            for r, rg, rn, rk in powers:
+                # degree floor: everything still addable has degree >=
+                # suffix_min[j], so once that is >= 0 nothing comes back
+                # below max_degree, for this r or a larger one
+                if charge + rk > max_charge or (n + rn > max_degree and suffix_min[j] >= 0):
                     break
-                g2, n2, c2 = g, n, charge
-                for _ in range(r):
-                    g2 = ctx.group.add(g2, qg)
-                n2 += r * qn
-                c2 += r * qcharge
-                walk(j + 1, stack + [qc] * r, g2, n2, c2)
+                walk(j + 1, stack + [qc] * r, add(g, rg), n + rn, charge + rk)
 
     walk(0, [], ctx.group.zero(), 0, 0)
     return results
@@ -435,9 +454,38 @@ def basis(bidegree, max_charge, ctx: Context):
 
 
 def poincare_table(ctx: Context, max_degree, max_charge):
-    """Dimensions of the free-algebra homology per (g, n, charge)."""
-    table: dict = {}
-    for _, g, n, charge in _enumerate_monomials(ctx, max_degree, max_charge):
-        key = (g, n, charge)
-        table[key] = table.get(key, 0) + 1
-    return table
+    """Dimensions of the free-algebra homology per (g, n, charge).
+
+    The algebra is free graded-commutative on Q(S), so its Poincare series is
+    the product of 1/(1 - t^b) over the repeatable classes b and of (1 + t^b)
+    over the others, t^b standing for the class's (g, n, charge).  The
+    product is expanded one class at a time as a dict of partial counts,
+    truncated at charge max_charge.  A partial product of charge c is dropped
+    once n + nu * (max_charge - c) > max_degree, nu = _degree_floor: every
+    factor still to come has degree >= nu times its charge, and their
+    charges add up to at most max_charge - c, so the finished monomial has
+    degree at least that bound.  No monomial is built.
+
+    Each (class, partial product) step costs one unit of ctx.budget; raises
+    ResourceError past it.
+    """
+    nu, cands = _candidates(ctx, max_degree, max_charge)
+    add = ctx.group.add_canonical
+    table = {(ctx.group.zero(), 0, 0): 1}
+    steps = 0
+    for _, powers in cands:
+        steps += len(table)
+        if steps > ctx.budget:
+            raise _over_budget(ctx, "table count")
+        grown = dict(table)
+        for (g, n, c), dim in table.items():
+            for _, rg, rn, rk in powers:
+                c2, n2 = c + rk, n + rn
+                # n2 + nu * (max_charge - c2) never falls as r grows, since
+                # rn - nu * rk = r * (n_b - nu * k_b) and n_b >= nu * k_b
+                if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
+                    break
+                key = (add(g, rg), n2, c2)
+                grown[key] = grown.get(key, 0) + dim
+        table = grown
+    return {key: dim for key, dim in table.items() if key[1] <= max_degree}

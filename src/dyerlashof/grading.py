@@ -49,6 +49,14 @@ class GradingGroup:
         a, b = self.validate(a), self.validate(b)
         return self.validate(tuple(x + y for x, y in zip(a, b)))
 
+    def add_canonical(self, a, b) -> tuple[int, ...]:
+        """a + b for elements already in canonical form (as validate returns
+        them); for the engine's inner loops, so nothing is re-validated."""
+        s = [x + y for x, y in zip(a, b)]
+        for i, t in enumerate(self.torsion_orders, self.free_rank):
+            s[i] %= t
+        return tuple(s)
+
     def scale(self, k: int, a) -> tuple[int, ...]:
         a = self.validate(a)
         return self.validate(tuple(k * x for x in a))

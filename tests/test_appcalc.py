@@ -7,6 +7,7 @@ from dyerlashof.appcalc import (
     sym_trivial_table,
 )
 from dyerlashof.errors import ContractError, ValidationError
+from dyerlashof.freealg import poincare_table
 
 
 def dims(table):
@@ -65,6 +66,34 @@ def test_sign_support_charge_p():
             if 0 <= q <= top
         )
         assert got == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_swan_oracles_below_2p(p):
+    # For k < 2p a Sylow p-subgroup of S_k is Z/p (trivial for k < p), which
+    # is abelian, so by Swan's theorem H_*(S_k; M) is read off H_*(Z/p; M)
+    # and the action of its normalizer; that gives a period of 2(p - 1).
+    top, period = 40, 2 * (p - 1)
+
+    def trivial(k):
+        if k < p:
+            return {0: 1}
+        return {q: 1 for q in range(top + 1) if q % period in (0, period - 1)}
+
+    def sign(k):
+        if k <= 1:
+            return {0: 1}
+        if k < p or k >= p + 2:
+            return {}
+        return {q: 1 for q in range(top + 1) if q % period in (p - 2, p - 1)}
+
+    for twist, want, listed_table in ((1, trivial, sym_trivial_table),
+                                      (-1, sign, sym_sign_table)):
+        counted = poincare_table(point_context(p, twist, top, 2 * p - 1), top, 2 * p - 1)
+        listed = dims(listed_table(p, 2 * p - 1, top))
+        for k in range(2 * p):
+            assert {n: d for (_, n, c), d in counted.items() if c == k} == want(k), (twist, k)
+            assert {q: d for (c, q), d in listed.items() if c == k} == want(k), (twist, k)
 
 
 def test_untwisted_stability():

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +153,18 @@ def test_table_empty_generators(tmp_path, capsys):
     code, out, _ = run_cli(["table", "--context", str(path)], capsys)
     assert code == 0
     assert out == "charge\tg\tdegree\tdim\n0\t\t0\t1\n"
+
+
+def test_table_and_basis_budget(sign_ctx_file, capsys):
+    # 395,339 monomials: the budget stops the table count, and the walk, early
+    start = time.perf_counter()
+    code, out, err = run_cli(["table", "--context", sign_ctx_file, "--max-degree", "60",
+                              "--max-charge", "81", "--budget", "1000"], capsys)
+    assert (code, out) == (3, "") and "budget" in err
+    assert time.perf_counter() - start < 2.0
+    code, out, err = run_cli(["basis", "--context", sign_ctx_file, "--budget", "3", "4", "1"],
+                             capsys)
+    assert (code, out) == (3, "") and "monomial enumeration" in err
 
 
 def test_dmodule(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from dyerlashof.freealg import (
     Context,
     Generator,
     QClass,
+    _enumerate_monomials,
     basis,
     enumerate_dmodule_basis,
     enumerate_qset,
@@ -139,6 +141,16 @@ def test_enumeration_budget():
     ctx = make_ctx(3, -1, budget=3)
     with pytest.raises(ResourceError):
         enumerate_qset([ctx.generator("x")], 30, 27, ctx)
+    # the word enumeration fits in 1000 nodes; the monomial walk and the
+    # table count do not
+    ctx = make_ctx(3, -1, budget=1000)
+    enumerate_qset(ctx.generators, 60, 81, ctx)
+    with pytest.raises(ResourceError, match="monomial enumeration"):
+        _enumerate_monomials(ctx, 60, 81)
+    with pytest.raises(ResourceError, match="monomial enumeration"):
+        basis(((81,), 60), 81, ctx)
+    with pytest.raises(ResourceError, match="table count"):
+        poincare_table(ctx, 60, 81)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +275,44 @@ def test_poincare_charge4_sign():
 def test_poincare_empty_context():
     ctx = Context(3, GradingGroup(1), TwistCharacter(GradingGroup(1), (-1,)), [])
     assert poincare_table(ctx, 5, 9) == {((0,), 0, 0): 1}
+    assert poincare_table(SIGN, 5, 0) == {((0,), 0, 0): 1}
+
+
+def random_context(rng):
+    """Free rank 0-2, maybe one torsion coordinate, 1-3 generators of degree
+    -2..3, p in {3, 5}; returned with cutoffs D <= 8 and C <= 11 (words of
+    length 2 at p = 3), small enough for the enumeration oracle when a degree
+    is negative."""
+    free = rng.randint(0, 2)
+    torsion = (rng.choice((2, 3, 4)),) if rng.random() < 0.5 else ()
+    group = GradingGroup(free, torsion)
+    signs = [rng.choice((1, -1)) for _ in range(free)]
+    signs += [rng.choice((1, -1)) if t % 2 == 0 else 1 for t in torsion]
+    gens = [
+        Generator(f"x{i}", [rng.randint(-2, 2) for _ in range(group.rank)], rng.randint(-2, 3))
+        for i in range(rng.randint(1, 3))
+    ]
+    p = rng.choice((3, 5))
+    ctx = Context(p, group, TwistCharacter(group, signs), gens)
+    return ctx, rng.randint(0, 8), rng.randint(1, 11)
+
+
+def test_poincare_table_matches_enumeration():
+    cases = [
+        (make_ctx(p, twist), d, c)
+        for p in (3, 5, 7)
+        for twist in (1, -1)
+        for d, c in ((24, p * p), (30, 2 * p + 1))
+    ]
+    group = GradingGroup(1, (2,))
+    cases.append((Context(3, group, TwistCharacter(group, (-1, -1)),
+                          [Generator("x", (1, 0), 0), Generator("z", (0, 1), -1)]), 6, 9))
+    rng = random.Random(2026)
+    cases += [random_context(rng) for _ in range(60)]
+    assert any(gen.n < 0 for ctx, _, _ in cases for gen in ctx.generators)
+    for ctx, d, c in cases:
+        listed = Counter((g, n, charge) for _, g, n, charge in _enumerate_monomials(ctx, d, c))
+        assert poincare_table(ctx, d, c) == dict(listed), (ctx.p, ctx.group, d, c)
 
 
 def test_context_validation():
