@@ -33,15 +33,24 @@ def _as_s2(s) -> int:
     raise ContractError(f"operation index must be an int or HalfInt, got {s!r}")
 
 
+def _combine(ctx: Context, pairs) -> AlgebraElement:
+    """The sum of c * x over (c, x) pairs, built in one new dict; the x are
+    only read, so cached elements may be passed."""
+    out: dict = {}
+    for c, x in pairs:
+        for m, d in x.terms.items():
+            out[m] = out.get(m, 0) + c * d
+    return AlgebraElement(ctx, out)
+
+
 def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """beta^eps Q^s acting on an algebra element; linear over F_p."""
     if eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     s2 = _as_s2(s)
-    out = AlgebraElement.zero(ctx)
-    for mono, c in e.terms.items():
-        out = out.add(_apply_monomial(eps, s2, mono, ctx).scale(c))
-    return out
+    return _combine(ctx, (
+        (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
+    ))
 
 
 def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
@@ -90,10 +99,7 @@ def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
     twist = ctx.chi.chi(qc.gen.g)
     elt = DLElement(ctx.p, twist, {((eps, s2),) + qc.word: 1})
     nf = normalize(elt, budget=ctx.budget)
-    out = AlgebraElement.zero(ctx)
-    for w, c in nf.terms.items():
-        out = out.add(_realize_word(w, qc.gen, ctx).scale(c))
-    return out
+    return _combine(ctx, ((c, _realize_word(w, qc.gen, ctx)) for w, c in nf.terms.items()))
 
 
 def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
@@ -126,33 +132,24 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     # the Cartan formula is stated through the shuffle (g+h)^p -> g^p + h^p,
     # which scales the twisted line by the braiding form p(p-1)/2 times
     shuffle = -1 if (par1 * ctx.chi.parity(gr) * half) % 2 else 1
-    out = AlgebraElement.zero(ctx)
+    pieces = []
     lo = n1
     if (lo - par1) % 2:
         lo += 1
     for j2 in range(lo, s2 - nr + 1, 2):
         k2 = s2 - j2
         sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
-        if eps == 0:
+        for e1 in range(eps, -1, -1):
+            # beta^eps acts as beta^e1 on f1 and beta^e2 on the rest; a
+            # beta moved past f1 picks up (-1)^n1
+            e2 = eps - e1
             piece = multiply(
-                _apply_qclass(0, j2, f1, ctx),
-                _apply_monomial(0, k2, rest, ctx),
+                _apply_qclass(e1, j2, f1, ctx),
+                _apply_monomial(e2, k2, rest, ctx),
                 ctx,
             )
-        else:
-            piece = multiply(
-                _apply_qclass(1, j2, f1, ctx),
-                _apply_monomial(0, k2, rest, ctx),
-                ctx,
-            )
-            second = multiply(
-                _apply_qclass(0, j2, f1, ctx),
-                _apply_monomial(1, k2, rest, ctx),
-                ctx,
-            )
-            piece = piece.add(second.scale(-1 if n1 % 2 else 1))
-        out = out.add(piece.scale(sign))
-    return out
+            pieces.append((-sign if e2 * n1 % 2 else sign, piece))
+    return _combine(ctx, pieces)
 
 
 def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:

@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractError, ValidationError
 
 
+P_MAX = 2**31 - 1
+
+
 def check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(math.isqrt(p)) + 1, 2)):
+    """Raise ValidationError unless p is an odd prime <= P_MAX; the cap keeps
+    the trial division under 25,000 steps."""
+    if not isinstance(p, int):
+        raise ValidationError(f"p must be an integer, got {p!r}")
+    if p > P_MAX:
+        raise ValidationError(f"p must be at most 2^31 - 1 = {P_MAX}, got {p}")
+    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
         raise ValidationError(f"p must be an odd prime, got {p}")
 
 
@@ -62,50 +70,8 @@ def twist_power(chi: int, p: int) -> int:
     raise ContractError(f"chi must be +1 or -1, got {chi}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInt:
     """An element of (1/2)Z, stored as its double so all arithmetic is integer."""
 
     twice: int
-
-    @staticmethod
-    def from_int(n: int) -> "HalfInt":
-        return HalfInt(2 * n)
-
-    @staticmethod
-    def parse(text: str) -> "HalfInt":
-        text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/")
-                f = Fraction(int(num), int(den))
-            else:
-                f = Fraction(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a half-integer: {text!r}") from exc
-        if f.denominator not in (1, 2):
-            raise ValidationError(f"not a half-integer: {text!r}")
-        return HalfInt(int(f * 2))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __mul__(self, k: int) -> "HalfInt":
-        return HalfInt(self.twice * k)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"

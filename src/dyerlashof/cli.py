@@ -244,23 +244,22 @@ def context_from_config(cfg: dict, args=None) -> Context:
     grading = cfg["grading"]
     if not isinstance(grading, dict):
         raise ValidationError("grading must be an object")
-    group = GradingGroup(
-        grading.get("free_rank", 0),
-        tuple(grading.get("torsion_orders", ())),
-    )
-    chi = TwistCharacter(group, tuple(cfg["chi"]))
+    group = GradingGroup(grading.get("free_rank", 0), grading.get("torsion_orders", ()))
+    chi = TwistCharacter(group, cfg["chi"])
+    if not isinstance(cfg["generators"], list):
+        raise ValidationError(f"generators must be a list, got {cfg['generators']!r}")
     gens = []
     for item in cfg["generators"]:
         if not isinstance(item, dict) or set(item) != {"name", "g", "n"}:
             raise ValidationError(f"generator entries need name/g/n, got {item!r}")
-        gens.append(Generator(item["name"], tuple(item["g"]), item["n"]))
+        gens.append(Generator(item["name"], item["g"], item["n"]))
 
     def pick(name, default=None):
         override = getattr(args, name, None) if args is not None else None
         return override if override is not None else cfg.get(name, default)
 
     return Context(
-        pick("p") if pick("p") is not None else cfg["p"],
+        pick("p"),
         group,
         chi,
         gens,

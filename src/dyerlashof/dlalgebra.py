@@ -6,10 +6,6 @@ on classes with value -1.  A word is a finite composition, outermost letter
 first; each letter is stored as (eps, s2) with s2 = 2s so that all index
 arithmetic stays in Z.
 
-An OpWord also carries its twist class (+1 or -1): the common character value
-of the classes the word can act on.  Words whose index parities are mixed, or
-do not match the twist class, are zero.
-
 A word is admissible when every adjacent pair satisfies
 p*s_{i+1} - eps_{i+1} >= s_i (doubled: p*s2_{i+1} - 2*eps_{i+1} >= s2_i) and
 all indices lie in the twist parity class.  Inadmissible adjacent pairs are
@@ -28,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import binom_mod_p, half_factorial, twist_power, v_const
@@ -67,42 +62,6 @@ def word_charge(entries, p: int) -> int:
     return p ** len(entries)
 
 
-@dataclass(frozen=True)
-class OpWord:
-    """A composition of operations, outermost first, at a fixed twist class."""
-
-    entries: tuple[Entry, ...]
-    twist: int = 1
-
-    def __post_init__(self):
-        if self.twist not in (1, -1):
-            raise ValidationError(f"twist must be +1 or -1, got {self.twist}")
-        entries = tuple(tuple(e) for e in self.entries)
-        for e in entries:
-            _check_entry(e)
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def parity_ok(self) -> bool:
-        want = 0 if self.twist == 1 else 1
-        return all(s2 % 2 == want for _, s2 in self.entries)
-
-    def degree(self, p: int) -> int:
-        return word_degree(self.entries, p)
-
-    def excess(self, p: int):
-        return excess(self.entries, p)
-
-    def charge(self, p: int) -> int:
-        return word_charge(self.entries, p)
-
-    def is_admissible(self, p: int) -> bool:
-        return self.parity_ok and _find_inadmissible(self.entries, p, "leftmost") is None
-
-
 # ---------------------------------------------------------------------------
 # elements of the Dyer-Lashof algebra at a fixed twist class
 
@@ -135,24 +94,9 @@ class DLElement:
         elt.p, elt.twist, elt.terms = p, twist, terms
         return elt
 
-    @classmethod
-    def from_word(cls, word: OpWord, p: int, coeff: int = 1) -> "DLElement":
-        return cls(p, word.twist, {word.entries: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def add(self, other: "DLElement") -> "DLElement":
-        if (self.p, self.twist) != (other.p, other.twist):
-            raise ContractError("cannot add elements at different (p, twist)")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = (out.get(w, 0) + c) % self.p
-        return DLElement(self.p, self.twist, out)
-
-    def scale(self, k: int) -> "DLElement":
-        return DLElement(self.p, self.twist, {w: c * k for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (

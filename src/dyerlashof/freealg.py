@@ -47,6 +47,8 @@ class Generator:
             raise ValidationError(f"generator name must be a nonempty string")
         if not isinstance(self.n, int):
             raise ValidationError(f"generator degree must be an integer, got {self.n!r}")
+        if not isinstance(self.g, (tuple, list)):
+            raise ValidationError(f"generator grading must be a list, got {self.g!r}")
         object.__setattr__(self, "g", tuple(self.g))
 
     @property
@@ -64,6 +66,11 @@ class Context:
         check_odd_prime(p)
         if chi.group != group:
             raise ValidationError("twist character is defined on a different group")
+        for name, value in (("max_degree", max_degree), ("max_charge", max_charge)):
+            if value is not None and not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(budget, int):
+            raise ValidationError(f"budget must be an integer, got {budget!r}")
         self.p = p
         self.group = group
         self.chi = chi
@@ -108,11 +115,8 @@ class QClass:
     def charge(self, p: int) -> int:
         return p ** len(self.word)
 
-    def group_element(self, ctx: Context):
-        return ctx.group.scale(ctx.p ** len(self.word), self.gen.g)
-
     def bidegree(self, ctx: Context):
-        return (self.group_element(ctx), self.degree(ctx.p))
+        return (ctx.group.scale(ctx.p ** len(self.word), self.gen.g), self.degree(ctx.p))
 
 
 def _op_symbol(eps, s2):
@@ -410,13 +414,8 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
 
     Each walk node costs one unit of ctx.budget; raises ResourceError past it.
     """
-    _, cands = _candidates(ctx, max_degree, max_charge)
-    add = ctx.group.add_canonical
-    degs = [powers[0][2] for _, powers in cands]
-    # suffix minima of candidate degrees, for pruning partial products
-    suffix_min = [0] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix_min[i] = min(degs[i], suffix_min[i + 1])
+    nu, cands = _candidates(ctx, max_degree, max_charge)
+    add = ctx.group.add
     results = []
     nodes = 0
 
@@ -430,12 +429,13 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
         for j in range(i, len(cands)):
             qc, powers = cands[j]
             for r, rg, rn, rk in powers:
-                # degree floor: everything still addable has degree >=
-                # suffix_min[j], so once that is >= 0 nothing comes back
-                # below max_degree, for this r or a larger one
-                if charge + rk > max_charge or (n + rn > max_degree and suffix_min[j] >= 0):
+                # the degree bound of poincare_table: a node that fails it
+                # has n2 > max_degree (nu <= 0) and so does every node below
+                # it, and it fails for every larger r too
+                c2, n2 = charge + rk, n + rn
+                if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
                     break
-                walk(j + 1, stack + [qc] * r, add(g, rg), n + rn, charge + rk)
+                walk(j + 1, stack + [qc] * r, add(g, rg), n2, c2)
 
     walk(0, [], ctx.group.zero(), 0, 0)
     return results
@@ -470,7 +470,7 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     ResourceError past it.
     """
     nu, cands = _candidates(ctx, max_degree, max_charge)
-    add = ctx.group.add_canonical
+    add = ctx.group.add
     table = {(ctx.group.zero(), 0, 0): 1}
     steps = 0
     for _, powers in cands:

@@ -6,6 +6,13 @@ free_rank + m, with torsion coordinates reduced mod their order.  A twist
 character assigns +1 or -1 to each coordinate generator; a coordinate of odd
 torsion order is forced to +1 (there is no nontrivial homomorphism from
 Z/odd to {+-1}).
+
+Input is validated once, where it enters: GradingGroup.validate checks and
+reduces an element, and Context, basis and the CLI parsers call it.  Inside
+the engine every element is such a canonical tuple, so add and scale only
+do the arithmetic and reduce the torsion coordinates, with no check.
+parity needs no reduction either: -1 sits only on free or even-torsion
+coordinates, and reducing a coordinate mod an even order keeps its parity.
 """
 
 from __future__ import annotations
@@ -21,45 +28,47 @@ class GradingGroup:
     torsion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValidationError("free_rank must be nonnegative")
-        for t in self.torsion_orders:
-            if t < 2:
-                raise ValidationError(f"torsion order must be >= 2, got {t}")
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise ValidationError(
+                f"free_rank must be a nonnegative integer, got {self.free_rank!r}"
+            )
+        orders = self.torsion_orders
+        if not isinstance(orders, (tuple, list)):
+            raise ValidationError(f"torsion_orders must be a list, got {orders!r}")
+        for t in orders:
+            if not isinstance(t, int) or t < 2:
+                raise ValidationError(f"torsion order must be an integer >= 2, got {t!r}")
+        object.__setattr__(self, "torsion_orders", tuple(orders))
 
     @property
     def rank(self) -> int:
         return self.free_rank + len(self.torsion_orders)
 
     def validate(self, g) -> tuple[int, ...]:
-        """Canonicalize an element: reduce torsion coordinates mod their order."""
+        """Check an element from outside the engine and return it canonical,
+        its torsion coordinates reduced mod their order."""
         g = tuple(g)
         if len(g) != self.rank or not all(isinstance(c, int) for c in g):
             raise ValidationError(
                 f"element {g!r} is not an integer tuple of length {self.rank}"
             )
-        free = g[: self.free_rank]
-        tors = tuple(c % t for c, t in zip(g[self.free_rank:], self.torsion_orders))
-        return free + tors
+        return self._reduce(list(g))
+
+    def _reduce(self, coords: list) -> tuple[int, ...]:
+        for i, t in enumerate(self.torsion_orders, self.free_rank):
+            coords[i] %= t
+        return tuple(coords)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
     def add(self, a, b) -> tuple[int, ...]:
-        a, b = self.validate(a), self.validate(b)
-        return self.validate(tuple(x + y for x, y in zip(a, b)))
-
-    def add_canonical(self, a, b) -> tuple[int, ...]:
-        """a + b for elements already in canonical form (as validate returns
-        them); for the engine's inner loops, so nothing is re-validated."""
-        s = [x + y for x, y in zip(a, b)]
-        for i, t in enumerate(self.torsion_orders, self.free_rank):
-            s[i] %= t
-        return tuple(s)
+        """a + b for canonical elements; nothing is checked."""
+        return self._reduce([x + y for x, y in zip(a, b)])
 
     def scale(self, k: int, a) -> tuple[int, ...]:
-        a = self.validate(a)
-        return self.validate(tuple(k * x for x in a))
+        """k * a for a canonical element; nothing is checked."""
+        return self._reduce([k * x for x in a])
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,8 @@ class TwistCharacter:
         signs = self.signs
         if signs is None:
             signs = (1,) * self.group.rank
+        if not isinstance(signs, (tuple, list)):
+            raise ValidationError(f"signs must be a list, got {signs!r}")
         signs = tuple(signs)
         if len(signs) != self.group.rank:
             raise ValidationError(
@@ -87,14 +98,13 @@ class TwistCharacter:
                 )
         object.__setattr__(self, "signs", signs)
 
-    def chi(self, g) -> int:
-        g = self.group.validate(g)
-        e = sum(c for c, s in zip(g, self.signs) if s == -1)
-        return -1 if e % 2 else 1
-
     def parity(self, g) -> int:
-        """0 for chi(g) = +1, 1 for chi(g) = -1."""
-        return 0 if self.chi(g) == 1 else 1
+        """0 for chi(g) = +1, 1 for chi(g) = -1: the sum of the coordinates
+        that carry -1, mod 2.  g need not be reduced (see the module note)."""
+        return sum(c for c, s in zip(g, self.signs) if s == -1) % 2
+
+    def chi(self, g) -> int:
+        return -1 if self.parity(g) else 1
 
 
 def swap_sign(chi: TwistCharacter, bideg_a, bideg_b) -> int:

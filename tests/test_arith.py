@@ -1,10 +1,10 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dyerlashof.arith import (
-    HalfInt,
     binom_mod_p,
     check_odd_prime,
     half_factorial,
@@ -89,21 +89,13 @@ def test_check_odd_prime():
             check_odd_prime(bad)
 
 
-def test_halfint_basics():
-    a = HalfInt.parse("3/2")
-    b = HalfInt.from_int(2)
-    assert a.twice == 3 and not a.is_integer
-    assert b.twice == 4 and b.is_integer
-    assert (a + b).twice == 7
-    assert (b - a).twice == 1
-    assert (-a).twice == -3
-    assert (3 * a).twice == 9
-    assert str(a) == "3/2"
-    assert str(b) == "2"
-    assert str(HalfInt.parse("-5/2")) == "-5/2"
-    assert HalfInt.parse("4") == HalfInt.from_int(4)
-    assert sorted([b, a]) == [a, b]
-    with pytest.raises(ValidationError):
-        HalfInt.parse("1/3")
-    with pytest.raises(ValidationError):
-        HalfInt.parse("x")
+def test_check_odd_prime_cap():
+    check_odd_prime(2**31 - 1)  # a Mersenne prime, the largest p accepted
+    # refused before any trial division, which would run for minutes
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="2\\^31"):
+        check_odd_prime(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    for bad in ("3", 3.0):
+        with pytest.raises(ValidationError):
+            check_odd_prime(bad)

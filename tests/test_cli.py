@@ -201,6 +201,51 @@ def test_config_validation(tmp_path, capsys):
     assert code == 2 and "--context" in err
 
 
+_SIGN_CFG = {
+    "version": 1,
+    "p": 3,
+    "grading": {"free_rank": 1, "torsion_orders": []},
+    "chi": [-1],
+    "generators": [{"name": "x", "g": [1], "n": 0}],
+    "max_degree": 10,
+    "max_charge": 9,
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p", "3"), ("p", 3.0),
+    ("max_degree", "10"), ("max_charge", 9.5), ("budget", "x"),
+    ("free_rank", "1"), ("free_rank", 1.0),
+    ("torsion_orders", ["2"]), ("torsion_orders", 2),
+    ("chi", -1), ("generators", 5), ("g", 1),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(_SIGN_CFG))
+    if key in ("free_rank", "torsion_orders"):
+        cfg["grading"][key] = value
+    elif key == "g":
+        cfg["generators"][0]["g"] = value
+    else:
+        cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["table", "--context", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_basis_rejects_wrong_rank(sign_ctx_file, capsys):
+    code, out, err = run_cli(["basis", "--context", sign_ctx_file, "1,2", "4"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_huge_p_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["rewrite", "Q^{2} Q^{0}", "--p", "1000000000000000003"], capsys)
+    assert (code, out) == (2, "") and "2^31" in err
+    assert time.perf_counter() - start < 2.0
+
+
 def test_example_tables(capsys):
     code, out, _ = run_cli(
         ["example", "alternating", "--max-degree", "1", "--max-charge", "4"], capsys

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from dyerlashof.dlalgebra import OpWord, excess, word_degree
+from dyerlashof.dlalgebra import _find_inadmissible, excess, word_degree
 from dyerlashof.errors import ContractError, ResourceError, ValidationError
 from dyerlashof.freealg import (
     AlgebraElement,
@@ -36,6 +36,15 @@ UNTW = make_ctx(3, 1)
 
 def words(qcs):
     return {qc.word for qc in qcs}
+
+
+def admissible(entries, p, twist):
+    """Every index in the twist parity class and no inadmissible junction."""
+    want = 0 if twist == 1 else 1
+    return (
+        all(s2 % 2 == want for _, s2 in entries)
+        and _find_inadmissible(entries, p, "leftmost") is None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +121,7 @@ def test_qset_brute_force_cross_check():
             if p**length > max_chg:
                 continue
             for w in itertools.product(window, repeat=length):
-                word = OpWord(w, 1 if par == 0 else -1)
-                if not word.is_admissible(p):
+                if not admissible(w, p, 1 if par == 0 else -1):
                     continue
                 if excess(w, p) + w[0][0] <= n:
                     continue
@@ -324,3 +332,31 @@ def test_context_validation():
         Context(3, group, chi, [Generator("x", (1,), 0), Generator("x", (1,), 2)])
     with pytest.raises(ValidationError):
         Context(3, GradingGroup(2), chi, [])
+    # a generator's grading is checked against the group once, here
+    for g in ((1, 2), ("1",), (1.0,)):
+        with pytest.raises(ValidationError):
+            Context(3, group, chi, [Generator("x", g, 0)])
+    with pytest.raises(ValidationError):
+        Context(3, group, chi, [], max_degree="10")
+    with pytest.raises(ValidationError):
+        Context(3, group, chi, [], budget=10.5)
+
+
+def test_basis_validates_bidegree():
+    with pytest.raises(ValidationError):
+        basis(((1, 2), 0), 9, SIGN)
+
+
+def test_walk_prunes_by_degree_floor():
+    # negative generator degrees: the walk cuts a partial product by the
+    # same bound as the table count.  It needs 26,270 nodes here; pruning
+    # only while every class left has degree >= 0 needs 680,778, past the
+    # budget
+    group = GradingGroup(2, (3,))
+    gens = [Generator("a", (1, 0, 1), -2), Generator("b", (0, 1, 2), 3),
+            Generator("c", (1, 1, 0), -1)]
+    chi = TwistCharacter(group, (-1, 1, 1))
+    listed = _enumerate_monomials(Context(3, group, chi, gens, budget=50_000), 2, 15)
+    assert len(listed) == 14_258
+    counts = Counter((g, n, charge) for _, g, n, charge in listed)
+    assert poincare_table(Context(3, group, chi, gens), 2, 15) == dict(counts)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,9 @@ def test_group_basics():
         GradingGroup(free_rank=-1)
     with pytest.raises(ValidationError):
         GradingGroup(free_rank=0, torsion_orders=(1,))
+    for free, orders in (("1", ()), (1.0, ()), (1, ("2",)), (1, 2)):
+        with pytest.raises(ValidationError):
+            GradingGroup(free, orders)
 
 
 def test_twist_character():
@@ -57,6 +62,16 @@ def test_chi_multiplicative():
         assert chi.chi(g.scale(3, a)) == chi.chi(a)
 
     inner()
+
+
+@given(st.tuples(st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99)))
+def test_chi_ignores_reduction(a):
+    # parity reads g without reducing it; that is sound because -1 sits only
+    # on free or even-torsion coordinates
+    g = GradingGroup(free_rank=1, torsion_orders=(2, 4))
+    for signs in itertools.product((1, -1), repeat=3):
+        chi = TwistCharacter(g, signs)
+        assert chi.chi(a) == chi.chi(g.validate(a))
 
 
 def test_swap_sign():
