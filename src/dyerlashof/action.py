@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .arith import HalfInt, half_factorial
 from .dlalgebra import DLElement, excess, lower_from_upper, normalize
-from .errors import ContractError
+from .errors import ContractError, ResourceError
 from .freealg import (
     AlgebraElement,
     Context,
@@ -44,13 +44,21 @@ def _combine(ctx: Context, pairs) -> AlgebraElement:
 
 
 def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
-    """beta^eps Q^s acting on an algebra element; linear over F_p."""
+    """beta^eps Q^s acting on an algebra element; linear over F_p.  The
+    Cartan formula recurses once per factor of a monomial, so a product too
+    long for the interpreter's stack raises ResourceError."""
     if eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     s2 = _as_s2(s)
-    return _combine(ctx, (
-        (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
-    ))
+    try:
+        return _combine(ctx, (
+            (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
+        ))
+    except RecursionError:
+        longest = max(len(mono) for mono in e.terms)
+        raise ResourceError(
+            f"Cartan expansion of a product of {longest} factors nests too deep"
+        ) from None
 
 
 def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
@@ -169,7 +177,7 @@ def _shifted(ctx: Context) -> Context:
                    ctx.max_degree, ctx.max_charge, ctx.budget)
 
 
-def suspension_check(ctx: Context, max_degree=12, max_charge=None, span=6):
+def suspension_check(ctx: Context, max_degree, max_charge):
     """Compare the action before and after shifting every generator degree
     up by one: Q^s commutes with the shift and beta Q^s anti-commutes, so
     matching basis terms must appear with equal coefficients, and the
@@ -188,10 +196,6 @@ def suspension_check(ctx: Context, max_degree=12, max_charge=None, span=6):
                 ratio = hf * (-1 if (n * (p - 1) // 2) % 2 else 1) % p
                 if idx2 != idx - (p - 1) or c2 != c * ratio % p or (z and not z2):
                     bad.append(f"constant recursion fails at eps={eps} s2={s2} n={n}")
-    if ctx.max_charge is None and max_charge is None:
-        max_charge = p
-    elif max_charge is None:
-        max_charge = ctx.max_charge
     up = _shifted(ctx)
     valid_up = {
         (qc.gen.name, qc.word)
@@ -214,7 +218,7 @@ def suspension_check(ctx: Context, max_degree=12, max_charge=None, span=6):
         qc_up = QClass(up.generator(qc.gen.name), qc.word)
         n_deg = qc.degree(p)
         for eps in (0, 1):
-            for s2 in range(n_deg - 2, n_deg + 2 * (p - 1) + span):
+            for s2 in range(n_deg - 2, n_deg + 2 * (p - 1) + 6):
                 a = apply_op(eps, HalfInt(s2), AlgebraElement.from_monomial(ctx, (qc,)), ctx)
                 b = apply_op(eps, HalfInt(s2), AlgebraElement.from_monomial(up, (qc_up,)), up)
                 want = single_terms(a, qc.gen.n + 1, ctx)

@@ -9,6 +9,7 @@ the two columns.
 
 from dataclasses import dataclass, field
 
+from .arith import DEFAULT_BUDGET
 from .errors import ContractError
 from .freealg import Context, Generator, _enumerate_monomials, monomial_str
 from .grading import GradingGroup, TwistCharacter
@@ -33,7 +34,7 @@ class GroupHomologyRow:
     basis_labels: tuple = field(default_factory=tuple)
 
 
-def point_context(p, twist, max_degree, max_charge, budget=10**6):
+def point_context(p, twist, max_degree, max_charge, budget=DEFAULT_BUDGET):
     """Free-algebra context on a single generator x in bidegree (1, 0)."""
     if twist not in (1, -1):
         raise ContractError("twist must be +1 or -1")
@@ -64,7 +65,7 @@ def _column_rows(ctx, max_k, max_degree, label_fmt):
     return rows
 
 
-def sym_sign_table(p, max_k, max_degree, budget=10**6):
+def sym_sign_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
     """Dimensions of H_q(S_k; sign) for k <= max_k, q <= max_degree.
 
     Returned as a dict keyed by (k, q); a missing key means dimension zero.
@@ -73,13 +74,13 @@ def sym_sign_table(p, max_k, max_degree, budget=10**6):
     return _column_rows(ctx, max_k, max_degree, "S_{k} sign")
 
 
-def sym_trivial_table(p, max_k, max_degree, budget=10**6):
+def sym_trivial_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
     """Dimensions of H_q(S_k; F_p) for k <= max_k, q <= max_degree."""
     ctx = point_context(p, 1, max_degree, max_k, budget)
     return _column_rows(ctx, max_k, max_degree, "S_{k} trivial")
 
 
-def alternating_table(p, max_k, max_degree, budget=10**6):
+def alternating_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
     """Dimensions of H_q(A_k; F_p): trivial plus sign column, per degree.
 
     For odd p the transfer along the index-2 inclusion A_k < S_k splits off

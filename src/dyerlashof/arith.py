@@ -15,12 +15,18 @@ from .errors import ContractError, ValidationError
 
 
 P_MAX = 2**31 - 1
+DEFAULT_BUDGET = 10**6
+
+
+def is_int(v) -> bool:
+    """An int that is not a bool: JSON true and false must not pass as 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def check_odd_prime(p: int) -> None:
     """Raise ValidationError unless p is an odd prime <= P_MAX; the cap keeps
     the trial division under 25,000 steps."""
-    if not isinstance(p, int):
+    if not is_int(p):
         raise ValidationError(f"p must be an integer, got {p!r}")
     if p > P_MAX:
         raise ValidationError(f"p must be at most 2^31 - 1 = {P_MAX}, got {p}")

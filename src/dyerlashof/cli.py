@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import __version__
-from .arith import HalfInt, binom_mod_p, check_odd_prime
+from .arith import DEFAULT_BUDGET, HalfInt, binom_mod_p, check_odd_prime
 from .action import apply_op, apply_word, suspension_check
 from .appcalc import alternating_table, point_context, sym_sign_table
 from .dlalgebra import (
@@ -149,7 +149,13 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
             cur.fail("a positive exponent")
         cur.take()
         power = AlgebraElement.unit(ctx)
+        spent = 0
         for _ in range(int(value)):
+            # one unit per multiply and per factor it walks in the partial power
+            spent += 1 + sum(len(m) for m in power.terms)
+            if spent > ctx.budget:
+                raise ResourceError(
+                    f"power at position {pos} exceeded budget of {ctx.budget} steps")
             power = multiply(power, base, ctx)
         base = power
     return base
@@ -255,7 +261,7 @@ def context_from_config(cfg: dict, args=None) -> Context:
         gens.append(Generator(item["name"], item["g"], item["n"]))
 
     def pick(name, default=None):
-        override = getattr(args, name, None) if args is not None else None
+        override = getattr(args, name, None)
         return override if override is not None else cfg.get(name, default)
 
     return Context(
@@ -265,7 +271,7 @@ def context_from_config(cfg: dict, args=None) -> Context:
         gens,
         max_degree=pick("max_degree"),
         max_charge=pick("max_charge"),
-        budget=pick("budget", 10**6),
+        budget=pick("budget", DEFAULT_BUDGET),
     )
 
 
@@ -311,13 +317,10 @@ def _format_g(g):
 
 def cmd_rewrite(args, out):
     entries = parse_word(args.word)
-    p = args.p if args.p is not None else 3
-    check_odd_prime(p)
+    check_odd_prime(args.p)
     twist = -1 if entries[-1][1] % 2 else 1
-    elt = DLElement(p, twist, {entries: 1})
-    budget = args.budget if args.budget is not None else 10**6
-    result = normalize(elt, budget=budget)
-    out.write(dlelement_str(result) + "\n")
+    elt = DLElement(args.p, twist, {entries: 1})
+    out.write(dlelement_str(normalize(elt, budget=args.budget)) + "\n")
     return EXIT_OK
 
 
@@ -372,20 +375,15 @@ def cmd_dmodule(args, out):
     else:
         raise ValidationError("--gen NAME is required with several generators")
     max_degree = _need(ctx.max_degree, "--max-degree")
-    for qc in enumerate_dmodule_basis(gen, max_degree, ctx, ctx.max_charge):
+    max_charge = _need(ctx.max_charge, "--max-charge")
+    for qc in enumerate_dmodule_basis(gen, max_degree, ctx, max_charge):
         out.write(qclass_str(qc) + "\n")
     return EXIT_OK
 
 
 def cmd_example(args, out):
-    p = args.p if args.p is not None else 3
-    max_degree = args.max_degree if args.max_degree is not None else 10
-    max_charge = args.max_charge if args.max_charge is not None else 6
-    budget = args.budget if args.budget is not None else 10**6
-    if args.which == "sym-sign":
-        table = sym_sign_table(p, max_charge, max_degree, budget)
-    else:
-        table = alternating_table(p, max_charge, max_degree, budget)
+    make = sym_sign_table if args.which == "sym-sign" else alternating_table
+    table = make(args.p, args.max_charge, args.max_degree, args.budget)
     rows = [
         {
             "label": row.label,
@@ -512,13 +510,23 @@ def cmd_selfcheck(args, out):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub, context=True):
-    if context:
-        sub.add_argument("--context", metavar="FILE", help="JSON context configuration")
-    sub.add_argument("--p", type=int, default=None, help="odd prime")
-    sub.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-    sub.add_argument("--max-charge", type=int, default=None, dest="max_charge")
-    sub.add_argument("--budget", type=int, default=None, help="rewrite step budget")
+_FLAGS = {
+    "context": {"metavar": "FILE", "help": "JSON context configuration"},
+    "p": {"type": int, "help": "odd prime"},
+    "max_degree": {"type": int, "help": "internal degree cutoff"},
+    "max_charge": {"type": int, "help": "charge cutoff"},
+    "budget": {"type": int, "help": "cap on rewrite steps and enumeration nodes"},
+}
+
+
+def _add_flags(sub, *names, **defaults):
+    """One --flag per setting.  A setting passed with a value takes it as its
+    default, shown in --help; the others come from the context file if unset."""
+    for name in names + tuple(defaults):
+        spec = dict(_FLAGS[name], default=defaults.get(name))
+        if name in defaults:
+            spec["help"] += " (default: %(default)s)"
+        sub.add_argument("--" + name.replace("_", "-"), **spec)
 
 
 def build_parser():
@@ -531,39 +539,38 @@ def build_parser():
 
     sub = subs.add_parser("rewrite", help="admissible normal form of an operation word")
     sub.add_argument("word", help="operation word, e.g. 'Q^{2} Q^{0}' or 'bQ^{3/2} Q^{1/2}'")
-    _add_common(sub, context=False)
+    _add_flags(sub, p=3, budget=DEFAULT_BUDGET)
     sub.set_defaults(func=cmd_rewrite)
 
     sub = subs.add_parser("basis", help="basis monomials of one bidegree")
     sub.add_argument("g", help="grading vector, comma-separated integers")
     sub.add_argument("n", type=int, help="internal degree")
-    _add_common(sub)
+    _add_flags(sub, "context", "p", "max_charge", "budget")
     sub.set_defaults(func=cmd_basis)
 
     sub = subs.add_parser("table", help="dimension table per (charge, grading, degree)")
-    _add_common(sub)
+    _add_flags(sub, "context", "p", "max_degree", "max_charge", "budget")
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
     sub.set_defaults(func=cmd_table)
 
     sub = subs.add_parser("act", help="apply one operation to an element")
     sub.add_argument("op", help="operation letter, e.g. 'bQ^{1/2}'")
     sub.add_argument("element", help="element expression, e.g. '2 * Q^{1/2} x + x'")
-    _add_common(sub)
+    _add_flags(sub, "context", "p", "budget")
     sub.set_defaults(func=cmd_act)
 
     sub = subs.add_parser("dmodule", help="free-module basis over one generator")
     sub.add_argument("--gen", default=None, help="generator name")
-    _add_common(sub)
+    _add_flags(sub, "context", "p", "max_degree", "max_charge", "budget")
     sub.set_defaults(func=cmd_dmodule)
 
     sub = subs.add_parser("example", help="built-in group-homology tables")
     sub.add_argument("which", choices=("sym-sign", "alternating"))
-    _add_common(sub, context=False)
+    _add_flags(sub, p=3, max_degree=10, max_charge=6, budget=DEFAULT_BUDGET)
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
     sub.set_defaults(func=cmd_example)
 
     sub = subs.add_parser("selfcheck", help="run the built-in invariant suites")
-    _add_common(sub, context=False)
     sub.set_defaults(func=cmd_selfcheck)
 
     return parser

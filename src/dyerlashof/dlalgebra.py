@@ -26,7 +26,7 @@ import heapq
 import math
 from functools import lru_cache
 
-from .arith import binom_mod_p, half_factorial, twist_power, v_const
+from .arith import DEFAULT_BUDGET, binom_mod_p, half_factorial, twist_power, v_const
 from .errors import ContractError, ResourceError, ValidationError
 
 Entry = tuple[int, int]  # (eps, s2) with s2 = 2s
@@ -240,7 +240,8 @@ def _key_layout(words, p: int):
     return top, (top - bottom).bit_length(), lmax
 
 
-def normalize(elt: DLElement, strategy: str = "leftmost", budget: int = 10**6) -> DLElement:
+def normalize(elt: DLElement, strategy: str = "leftmost",
+              budget: int = DEFAULT_BUDGET) -> DLElement:
     """Rewrite to admissible normal form.
 
     strategy picks which inadmissible adjacent pair of a word is expanded

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import DEFAULT_BUDGET, check_odd_prime, is_int
 from .dlalgebra import excess, word_degree
 from .errors import ContractError, ResourceError, ValidationError
 from .grading import GradingGroup, TwistCharacter, swap_sign
@@ -45,31 +46,25 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"generator name must be a nonempty string")
-        if not isinstance(self.n, int):
+        if not is_int(self.n):
             raise ValidationError(f"generator degree must be an integer, got {self.n!r}")
         if not isinstance(self.g, (tuple, list)):
             raise ValidationError(f"generator grading must be a list, got {self.g!r}")
         object.__setattr__(self, "g", tuple(self.g))
-
-    @property
-    def bidegree(self):
-        return (self.g, self.n)
 
 
 class Context:
     """A prime, a grading group with twist character, and named generators."""
 
     def __init__(self, p, group: GradingGroup, chi: TwistCharacter, generators,
-                 max_degree=None, max_charge=None, budget: int = 10**6):
-        from .arith import check_odd_prime
-
+                 max_degree=None, max_charge=None, budget: int = DEFAULT_BUDGET):
         check_odd_prime(p)
         if chi.group != group:
             raise ValidationError("twist character is defined on a different group")
         for name, value in (("max_degree", max_degree), ("max_charge", max_charge)):
-            if value is not None and not isinstance(value, int):
+            if value is not None and not is_int(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(budget, int):
+        if not is_int(budget):
             raise ValidationError(f"budget must be an integer, got {budget!r}")
         self.p = p
         self.group = group
@@ -133,7 +128,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
     """Admissible words over one generator, innermost letter first in the
     recursion; strict picks e(I)+eps_1 > n (Q(S)) vs e(I) >= n (free module).
 
-    Yields (word, degree) pairs; raises ResourceError past ctx.budget nodes.
+    Returns the words; raises ResourceError past ctx.budget nodes.
     """
     p = ctx.p
     n = gen.n
@@ -172,7 +167,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
             else:
                 ok = excess(word, p) >= n if word else True
             if ok:
-                out.append((word, m))
+                out.append(word)
         if depth == levels:
             return
         lo = m if not strict else m + 1
@@ -205,7 +200,7 @@ def enumerate_qset(gens, max_degree, max_charge, ctx: Context):
     """All Q^I x with internal degree <= max_degree and charge <= max_charge."""
     out = []
     for gen in gens:
-        for word, _ in _enumerate_words(ctx, gen, max_degree, max_charge, True):
+        for word in _enumerate_words(ctx, gen, max_degree, max_charge, True):
             out.append(QClass(gen, word))
     out.sort(key=QClass.sort_key)
     return out
@@ -225,7 +220,7 @@ def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context,
         raise ContractError("enumerate_dmodule_basis needs a charge cutoff")
     out = [
         QClass(gen, word)
-        for word, _ in _enumerate_words(ctx, gen, max_degree, max_charge, False)
+        for word in _enumerate_words(ctx, gen, max_degree, max_charge, False)
     ]
     out.sort(key=QClass.sort_key)
     return out

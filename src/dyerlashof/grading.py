@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arith import is_int
 from .errors import ValidationError
 
 
@@ -28,7 +29,7 @@ class GradingGroup:
     torsion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+        if not is_int(self.free_rank) or self.free_rank < 0:
             raise ValidationError(
                 f"free_rank must be a nonnegative integer, got {self.free_rank!r}"
             )
@@ -36,7 +37,7 @@ class GradingGroup:
         if not isinstance(orders, (tuple, list)):
             raise ValidationError(f"torsion_orders must be a list, got {orders!r}")
         for t in orders:
-            if not isinstance(t, int) or t < 2:
+            if not is_int(t) or t < 2:
                 raise ValidationError(f"torsion order must be an integer >= 2, got {t!r}")
         object.__setattr__(self, "torsion_orders", tuple(orders))
 
@@ -48,7 +49,7 @@ class GradingGroup:
         """Check an element from outside the engine and return it canonical,
         its torsion coordinates reduced mod their order."""
         g = tuple(g)
-        if len(g) != self.rank or not all(isinstance(c, int) for c in g):
+        if len(g) != self.rank or not all(is_int(c) for c in g):
             raise ValidationError(
                 f"element {g!r} is not an integer tuple of length {self.rank}"
             )
@@ -89,7 +90,7 @@ class TwistCharacter:
             raise ValidationError(
                 f"need {self.group.rank} signs, got {len(signs)}"
             )
-        if any(s not in (1, -1) for s in signs):
+        if any(not is_int(s) or s not in (1, -1) for s in signs):
             raise ValidationError("signs must be +1 or -1")
         for i, t in enumerate(self.group.torsion_orders):
             if t % 2 == 1 and signs[self.group.free_rank + i] == -1:

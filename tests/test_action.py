@@ -4,7 +4,7 @@ import pytest
 
 from dyerlashof.arith import HalfInt
 from dyerlashof.dlalgebra import adem_expand
-from dyerlashof.errors import ContractError
+from dyerlashof.errors import ContractError, ResourceError
 from dyerlashof.freealg import (
     AlgebraElement,
     Context,
@@ -212,6 +212,13 @@ def test_apply_word_matches_nested():
 
 # ---------------------------------------------------------------------------
 # suspension
+
+
+def test_long_product_raises_resource_error():
+    ctx = make_ctx(3, 1)
+    x = QClass(ctx.generator("x"), ())
+    with pytest.raises(ResourceError, match="Cartan"):
+        apply_op(0, 0, AlgebraElement.from_monomial(ctx, (x,) * 1000), ctx)
 
 
 def test_suspension_check_passes():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -7,6 +8,7 @@ import time
 import pytest
 
 from dyerlashof.cli import (
+    build_parser,
     element_str,
     main,
     parse_element,
@@ -51,6 +53,20 @@ def untw_ctx_file(tmp_path):
         "max_charge": 9,
     }
     path = tmp_path / "untw3.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture
+def untw0_ctx_file(tmp_path):
+    cfg = {
+        "version": 1,
+        "p": 3,
+        "grading": {"free_rank": 1, "torsion_orders": []},
+        "chi": [1],
+        "generators": [{"name": "x", "g": [1], "n": 0}],
+    }
+    path = tmp_path / "untw0.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -114,6 +130,22 @@ def test_act_validation(sign_ctx_file, capsys):
     assert code == 2
     code, _, err = run_cli(["act", "--context", sign_ctx_file, "Q^{1/2}", "y"], capsys)
     assert code == 2 and "unknown generator" in err
+
+
+@pytest.mark.parametrize("power", ["x^1000", "x^30000"])
+def test_long_power_exits_3(untw0_ctx_file, capsys, power):
+    # each multiply of the partial power draws on the budget
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["act", "--context", untw0_ctx_file, "--budget", "10", "Q^{0}", power], capsys
+    )
+    assert (code, out) == (3, "") and err.startswith("error: power")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_power_within_budget(untw0_ctx_file, capsys):
+    code, out, _ = run_cli(["act", "--context", untw0_ctx_file, "Q^{0}", "x^300"], capsys)
+    assert (code, out) == (0, "x^900\n")
 
 
 def test_table_tsv_and_json(tmp_path, capsys):
@@ -189,6 +221,15 @@ def test_dmodule(tmp_path, capsys):
     ]
 
 
+def test_dmodule_cli_needs_charge_cutoff(tmp_path, capsys):
+    cfg = dict(_SIGN_CFG)
+    del cfg["max_charge"]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["dmodule", "--context", str(path)], capsys)
+    assert (code, out) == (2, "") and "--max-charge" in err
+
+
 def test_config_validation(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -218,13 +259,16 @@ _SIGN_CFG = {
     ("free_rank", "1"), ("free_rank", 1.0),
     ("torsion_orders", ["2"]), ("torsion_orders", 2),
     ("chi", -1), ("generators", 5), ("g", 1),
+    # JSON booleans are not integers
+    ("max_degree", True), ("max_charge", True), ("budget", True), ("free_rank", True),
+    ("chi", [True]), ("n", False), ("g", [True]),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, key, value):
     cfg = json.loads(json.dumps(_SIGN_CFG))
     if key in ("free_rank", "torsion_orders"):
         cfg["grading"][key] = value
-    elif key == "g":
-        cfg["generators"][0]["g"] = value
+    elif key in ("g", "n"):
+        cfg["generators"][0][key] = value
     else:
         cfg[key] = value
     path = tmp_path / "bad.json"
@@ -268,6 +312,49 @@ def test_selfcheck(capsys):
     assert code == 0
     assert out.splitlines()[-1].endswith("suites passed")
     assert not any(line.startswith("FAIL") for line in out.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# the flag surface: each command takes only the settings it reads
+
+_COMMAND_FLAGS = {
+    "rewrite": {"--p", "--budget"},
+    "basis": {"--context", "--p", "--max-charge", "--budget"},
+    "table": {"--context", "--p", "--max-degree", "--max-charge", "--budget", "--format"},
+    "act": {"--context", "--p", "--budget"},
+    "dmodule": {"--gen", "--context", "--p", "--max-degree", "--max-charge", "--budget"},
+    "example": {"--p", "--max-degree", "--max-charge", "--budget", "--format"},
+    "selfcheck": set(),
+}
+
+
+def test_each_command_takes_only_its_flags():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert got == _COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["rewrite", "Q^{2} Q^{0}", "--max-degree", "3"],
+    ["rewrite", "Q^{2} Q^{0}", "--max-charge", "3"],
+    ["basis", "--context", "CTX", "4", "1", "--max-degree", "3"],
+    ["act", "--context", "CTX", "Q^{1/2}", "x", "--max-degree", "3"],
+    ["act", "--context", "CTX", "Q^{1/2}", "x", "--max-charge", "3"],
+    ["selfcheck", "--p", "5"],
+    ["selfcheck", "--max-degree", "1"],
+    ["selfcheck", "--max-charge", "1"],
+    ["selfcheck", "--budget", "1"],
+])
+def test_unread_flags_exit_2(sign_ctx_file, capsys, argv):
+    argv = [sign_ctx_file if a == "CTX" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2(capsys):
