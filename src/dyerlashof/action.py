@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .arith import HalfInt, half_factorial
 from .dlalgebra import DLElement, excess, lower_from_upper, normalize
-from .errors import ContractError, ResourceError
+from .errors import ContractError, Meter, ResourceError, charge
 from .freealg import (
     AlgebraElement,
     Context,
@@ -22,6 +22,8 @@ from .freealg import (
     QClass,
     _repeatable,
     enumerate_qset,
+    monomial_bidegree,
+    multiply,
 )
 
 
@@ -51,9 +53,10 @@ def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     s2 = _as_s2(s)
     try:
-        return _combine(ctx, (
-            (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
-        ))
+        with Meter(ctx.budget):
+            return _combine(ctx, (
+                (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
+            ))
     except RecursionError:
         longest = max(len(mono) for mono in e.terms)
         raise ResourceError(
@@ -106,7 +109,7 @@ def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
         return _power_monomial(qc, ctx.p, ctx)
     twist = ctx.chi.chi(qc.gen.g)
     elt = DLElement(ctx.p, twist, {((eps, s2),) + qc.word: 1})
-    nf = normalize(elt, budget=ctx.budget)
+    nf = normalize(elt)
     return _combine(ctx, ((c, _realize_word(w, qc.gen, ctx)) for w, c in nf.terms.items()))
 
 
@@ -120,8 +123,6 @@ def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
 
 
 def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
-    from .freealg import monomial_bidegree, multiply
-
     k = len(mono)
     if k == 0:
         if eps == 0 and s2 == 0:
@@ -144,7 +145,9 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     lo = n1
     if (lo - par1) % 2:
         lo += 1
-    for j2 in range(lo, s2 - nr + 1, 2):
+    j2s = range(lo, s2 - nr + 1, 2)
+    charge("Cartan pieces", len(j2s) * (eps + 1))
+    for j2 in j2s:
         k2 = s2 - j2
         sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
         for e1 in range(eps, -1, -1):

@@ -9,7 +9,6 @@ the two columns.
 
 from dataclasses import dataclass, field
 
-from .arith import DEFAULT_BUDGET
 from .errors import ContractError
 from .freealg import Context, Generator, _enumerate_monomials, monomial_str
 from .grading import GradingGroup, TwistCharacter
@@ -34,15 +33,14 @@ class GroupHomologyRow:
     basis_labels: tuple = field(default_factory=tuple)
 
 
-def point_context(p, twist, max_degree, max_charge, budget=DEFAULT_BUDGET):
+def point_context(p, twist, max_degree, max_charge):
     """Free-algebra context on a single generator x in bidegree (1, 0)."""
     if twist not in (1, -1):
         raise ContractError("twist must be +1 or -1")
     group = GradingGroup(1)
     chi = TwistCharacter(group, (twist,))
     gen = Generator("x", (1,), 0)
-    return Context(p, group, chi, [gen], max_degree=max_degree,
-                   max_charge=max_charge, budget=budget)
+    return Context(p, group, chi, [gen], max_degree=max_degree, max_charge=max_charge)
 
 
 def _column_rows(ctx, max_k, max_degree, label_fmt):
@@ -65,22 +63,22 @@ def _column_rows(ctx, max_k, max_degree, label_fmt):
     return rows
 
 
-def sym_sign_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
+def sym_sign_table(p, max_k, max_degree):
     """Dimensions of H_q(S_k; sign) for k <= max_k, q <= max_degree.
 
     Returned as a dict keyed by (k, q); a missing key means dimension zero.
     """
-    ctx = point_context(p, -1, max_degree, max_k, budget)
+    ctx = point_context(p, -1, max_degree, max_k)
     return _column_rows(ctx, max_k, max_degree, "S_{k} sign")
 
 
-def sym_trivial_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
+def sym_trivial_table(p, max_k, max_degree):
     """Dimensions of H_q(S_k; F_p) for k <= max_k, q <= max_degree."""
-    ctx = point_context(p, 1, max_degree, max_k, budget)
+    ctx = point_context(p, 1, max_degree, max_k)
     return _column_rows(ctx, max_k, max_degree, "S_{k} trivial")
 
 
-def alternating_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
+def alternating_table(p, max_k, max_degree):
     """Dimensions of H_q(A_k; F_p): trivial plus sign column, per degree.
 
     For odd p the transfer along the index-2 inclusion A_k < S_k splits off
@@ -88,8 +86,8 @@ def alternating_table(p, max_k, max_degree, budget=DEFAULT_BUDGET):
     termwise sum; for k < 2 the two groups coincide and only the trivial
     column counts.
     """
-    triv = sym_trivial_table(p, max_k, max_degree, budget)
-    sgn = sym_sign_table(p, max_k, max_degree, budget)
+    triv = sym_trivial_table(p, max_k, max_degree)
+    sgn = sym_sign_table(p, max_k, max_degree)
     rows = {}
     for key in sorted(set(triv) | set(sgn)):
         k, q = key

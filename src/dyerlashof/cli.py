@@ -29,7 +29,7 @@ from .dlalgebra import (
     normalize,
     word_degree,
 )
-from .errors import DyerLashofError, ResourceError, ValidationError
+from .errors import DyerLashofError, Meter, ResourceError, ValidationError, charge
 from .freealg import (
     AlgebraElement,
     Context,
@@ -39,6 +39,8 @@ from .freealg import (
     basis,
     enumerate_dmodule_basis,
     enumerate_qset,
+    monomial_bidegree,
+    monomial_charge,
     monomial_str,
     multiply,
     poincare_table,
@@ -83,10 +85,17 @@ def _tokenize(text):
     return tokens
 
 
+def _int(numeral):
+    try:
+        return int(numeral)
+    except ValueError:  # past the interpreter's limit on digits
+        raise ValidationError(f"numeral of {len(numeral)} digits is too long") from None
+
+
 def _op_entry(token):
     m = _OP_INDEX.fullmatch(token)
     eps = 1 if m.group(1) else 0
-    a = int(m.group(2))
+    a = _int(m.group(2))
     s2 = a if m.group(3) else 2 * a
     return (eps, s2)
 
@@ -144,18 +153,14 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
         cur.fail("a generator name or '1'")
     if cur.peek()[0] == "caret":
         cur.take()
-        kind, value, pos = cur.peek()
-        if kind != "num" or int(value) < 1:
+        kind, value, _ = cur.peek()
+        if kind != "num" or _int(value) < 1:
             cur.fail("a positive exponent")
         cur.take()
         power = AlgebraElement.unit(ctx)
-        spent = 0
         for _ in range(int(value)):
             # one unit per multiply and per factor it walks in the partial power
-            spent += 1 + sum(len(m) for m in power.terms)
-            if spent > ctx.budget:
-                raise ResourceError(
-                    f"power at position {pos} exceeded budget of {ctx.budget} steps")
+            charge("power", 1 + sum(len(m) for m in power.terms))
             power = multiply(power, base, ctx)
         base = power
     return base
@@ -163,37 +168,38 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
 
 def parse_element(text, ctx: Context) -> AlgebraElement:
     cur = _Cursor(_tokenize(text), text)
-    total = AlgebraElement.zero(ctx)
-    while True:
-        coeff = 1
-        if cur.peek()[0] == "num" and cur.peek()[1] != "1":
-            coeff = int(cur.take()[1])
-            if cur.peek()[0] == "star":
+    with Meter(ctx.budget):
+        total = AlgebraElement.zero(ctx)
+        while True:
+            coeff = 1
+            if cur.peek()[0] == "num" and cur.peek()[1] != "1":
+                coeff = _int(cur.take()[1])
+                if cur.peek()[0] == "star":
+                    cur.take()
+                elif cur.peek()[0] in ("plus", None):
+                    total = total.add(AlgebraElement.unit(ctx).scale(coeff))
+                    if cur.peek()[0] is None:
+                        return total
+                    cur.take()
+                    continue
+                else:
+                    cur.fail("'*' or '+' after a coefficient")
+            elif cur.peek()[0] == "num" and cur.peek()[1] == "1":
+                nxt = cur.tokens[cur.i + 1] if cur.i + 1 < len(cur.tokens) else (None,)
+                if nxt[0] == "star":
+                    coeff = int(cur.take()[1])
+                    cur.take()
+            term = _parse_factor(cur, ctx)
+            while cur.peek()[0] == "star":
                 cur.take()
-            elif cur.peek()[0] in ("plus", None):
-                total = total.add(AlgebraElement.unit(ctx).scale(coeff))
-                if cur.peek()[0] is None:
-                    return total
-                cur.take()
-                continue
-            else:
-                cur.fail("'*' or '+' after a coefficient")
-        elif cur.peek()[0] == "num" and cur.peek()[1] == "1":
-            nxt = cur.tokens[cur.i + 1] if cur.i + 1 < len(cur.tokens) else (None,)
-            if nxt[0] == "star":
-                coeff = int(cur.take()[1])
-                cur.take()
-        term = _parse_factor(cur, ctx)
-        while cur.peek()[0] == "star":
+                term = multiply(term, _parse_factor(cur, ctx), ctx)
+            total = total.add(term.scale(coeff))
+            kind = cur.peek()[0]
+            if kind is None:
+                return total
+            if kind != "plus":
+                cur.fail("'+' between terms")
             cur.take()
-            term = multiply(term, _parse_factor(cur, ctx), ctx)
-        total = total.add(term.scale(coeff))
-        kind = cur.peek()[0]
-        if kind is None:
-            return total
-        if kind != "plus":
-            cur.fail("'+' between terms")
-        cur.take()
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +367,9 @@ def cmd_act(args, out):
     if len(letters) != 1:
         raise ValidationError("act takes a single operation letter like Q^{1/2}")
     eps, s2 = letters[0]
-    elt = parse_element(args.element, ctx)
-    out.write(element_str(apply_op(eps, HalfInt(s2), elt, ctx)) + "\n")
+    with Meter(ctx.budget):
+        result = apply_op(eps, HalfInt(s2), parse_element(args.element, ctx), ctx)
+    out.write(element_str(result) + "\n")
     return EXIT_OK
 
 
@@ -383,7 +390,8 @@ def cmd_dmodule(args, out):
 
 def cmd_example(args, out):
     make = sym_sign_table if args.which == "sym-sign" else alternating_table
-    table = make(args.p, args.max_charge, args.max_degree, args.budget)
+    with Meter(args.budget):
+        table = make(args.p, args.max_charge, args.max_degree)
     rows = [
         {
             "label": row.label,
@@ -450,8 +458,6 @@ def _check_degree_law():
 
 
 def _check_action():
-    from .freealg import monomial_bidegree, monomial_charge
-
     ctx = point_context(3, -1, 8, 9)
     for n in range(9):
         for mono in basis(((1,), n), 9, ctx) + basis(((3,), n), 9, ctx):
@@ -515,7 +521,7 @@ _FLAGS = {
     "p": {"type": int, "help": "odd prime"},
     "max_degree": {"type": int, "help": "internal degree cutoff"},
     "max_charge": {"type": int, "help": "charge cutoff"},
-    "budget": {"type": int, "help": "cap on rewrite steps and enumeration nodes"},
+    "budget": {"type": int, "help": "cap on the work units of the command"},
 }
 
 
@@ -581,12 +587,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except DyerLashofError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_RESOURCE if isinstance(exc, ResourceError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

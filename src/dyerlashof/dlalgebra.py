@@ -27,7 +27,7 @@ import math
 from functools import lru_cache
 
 from .arith import DEFAULT_BUDGET, binom_mod_p, half_factorial, twist_power, v_const
-from .errors import ContractError, ResourceError, ValidationError
+from .errors import ContractError, Meter, ValidationError, charge
 
 Entry = tuple[int, int]  # (eps, s2) with s2 = 2s
 
@@ -130,8 +130,10 @@ def _family_row(d, p, t_off, b_off):
     """((j2, (-1)^((d-j2)/2) * binom mod p), ...) over the nonzero binomials."""
     lo = -(-(d + 2 * (b_off - t_off)) // p)  # ceil division
     lo += lo % 2
+    j2s = range(lo, d + 2 * b_off + 1, 2)
+    charge("Adem family rows", len(j2s))
     row = []
-    for j2 in range(lo, d + 2 * b_off + 1, 2):
+    for j2 in j2s:
         c = binom_mod_p(j2 // 2 * (p - 1) + t_off, (d - j2) // 2 + b_off, p)
         if c:
             row.append((j2, -c if (d - j2) // 2 % 2 else c))
@@ -246,10 +248,10 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
 
     strategy picks which inadmissible adjacent pair of a word is expanded
     first ("leftmost" or "rightmost"); the result is independent of the
-    choice.  budget caps the number of pair expansions; exceeding it raises
-    ResourceError.  Words whose indices are not all in the twist parity
-    class are zero and dropped.  If every remaining word is already
-    admissible the element is returned as it is, at no cost to the budget.
+    choice.  Each word expanded and each binomial of an uncached Adem family
+    row costs a unit of the meter (errors.Meter; budget sizes a new one).
+    Words whose indices are not all in the twist parity class are zero and
+    dropped.  If every word left is admissible it is returned as it is, free.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ContractError(f"unknown strategy {strategy!r}")
@@ -289,40 +291,38 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
             heap.append(key)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    steps = 0
-    while heap:
-        key = heappop(heap)
-        c, w = pending.pop(key)
-        c %= p
-        if not c:
-            continue
-        steps += 1
-        if steps > budget:
-            raise ResourceError(f"rewriting exceeded budget of {budget} steps")
-        pos = _find_inadmissible(w, p, strategy)
-        outer, inner = w[pos], w[pos + 1]
-        e1, s2 = outer[0], inner[1]
-        unit = units[pos]
-        head, tail = w[:pos], w[pos + 2:]
-        # An output word differs from w only in its pair, which is
-        # admissible: the word is admissible when head and tail are and the
-        # two new junctions next to the pair are.
-        rest_ok = (
-            _find_inadmissible(head, p, strategy) is None
-            and _find_inadmissible(tail, p, strategy) is None
-        )
-        left = head[-1][1] if head else -math.inf
-        cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
-        for pair, k in adem_expand(outer, inner, twist, p):
-            (e_out, a2), (_, b2) = pair
-            nkey = key + (b2 - s2) * unit + ((e_out - e1) << pos)
-            entry = pending.get(nkey)
-            if entry is not None:
-                entry[0] += c * k
+    with Meter(budget) as meter:
+        while heap:
+            key = heappop(heap)
+            c, w = pending.pop(key)
+            c %= p
+            if not c:
                 continue
-            pending[nkey] = [c * k, head + pair + tail]
-            if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
-                heappush(heap, nkey)
+            meter.charge("rewriting")
+            pos = _find_inadmissible(w, p, strategy)
+            outer, inner = w[pos], w[pos + 1]
+            e1, s2 = outer[0], inner[1]
+            unit = units[pos]
+            head, tail = w[:pos], w[pos + 2:]
+            # An output word differs from w only in its pair, which is
+            # admissible: the word is admissible when head and tail are and
+            # the two new junctions next to the pair are.
+            rest_ok = (
+                _find_inadmissible(head, p, strategy) is None
+                and _find_inadmissible(tail, p, strategy) is None
+            )
+            left = head[-1][1] if head else -math.inf
+            cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
+            for pair, k in adem_expand(outer, inner, twist, p):
+                (e_out, a2), (_, b2) = pair
+                nkey = key + (b2 - s2) * unit + ((e_out - e1) << pos)
+                entry = pending.get(nkey)
+                if entry is not None:
+                    entry[0] += c * k
+                    continue
+                pending[nkey] = [c * k, head + pair + tail]
+                if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
+                    heappush(heap, nkey)
     result = {}
     for c, w in pending.values():
         c %= p

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .arith import DEFAULT_BUDGET, check_odd_prime, is_int
 from .dlalgebra import excess, word_degree
-from .errors import ContractError, ResourceError, ValidationError
+from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter, swap_sign
 
 
@@ -128,7 +128,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
     """Admissible words over one generator, innermost letter first in the
     recursion; strict picks e(I)+eps_1 > n (Q(S)) vs e(I) >= n (free module).
 
-    Returns the words; raises ResourceError past ctx.budget nodes.
+    Returns the words; each node costs a unit of the meter (errors.Meter).
     """
     p = ctx.p
     n = gen.n
@@ -141,7 +141,6 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
         c *= p
         levels += 1
     out = []
-    nodes = 0
 
     def minimum_final(m, remaining):
         # smallest internal degree reachable after `remaining` more letters:
@@ -156,10 +155,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
     def extend(word, m):
         # word is the already-built inner part (outermost letter first);
         # m = n + word_degree(word) is the degree of Q^word x.
-        nonlocal nodes
-        nodes += 1
-        if nodes > ctx.budget:
-            raise _over_budget(ctx, "enumeration")
+        meter.charge("enumeration")
         depth = len(word)
         if m <= max_degree:
             if strict:
@@ -192,7 +188,8 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
                     extend(((eps, s2),) + word, m2)
                 s2 += 2
 
-    extend((), n)
+    with Meter(ctx.budget) as meter:
+        extend((), n)
     return out
 
 
@@ -348,6 +345,7 @@ def _merge_monomials(a, b, ctx: Context):
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraElement:
     if a.ctx is not ctx or b.ctx is not ctx:
         raise ContractError("elements belong to different contexts")
+    charge("multiply", len(a.terms) * len(b.terms))
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -396,43 +394,33 @@ def _candidates(ctx: Context, max_degree, max_charge):
     return nu, cands
 
 
-def _over_budget(ctx: Context, what: str) -> ResourceError:
-    return ResourceError(
-        f"{what} exceeded budget of {ctx.budget} nodes; "
-        "lower max_degree/max_charge or raise the budget"
-    )
-
-
 def _enumerate_monomials(ctx: Context, max_degree, max_charge):
     """List (factors, g, n, charge) for every monomial with n <= max_degree
     and charge <= max_charge (the empty monomial included).
 
-    Each walk node costs one unit of ctx.budget; raises ResourceError past it.
+    Each node of the word search and of the walk costs a unit of the meter.
     """
-    nu, cands = _candidates(ctx, max_degree, max_charge)
-    add = ctx.group.add
-    results = []
-    nodes = 0
+    with Meter(ctx.budget) as meter:
+        nu, cands = _candidates(ctx, max_degree, max_charge)
+        add = ctx.group.add
+        results = []
 
-    def walk(i, stack, g, n, charge):
-        nonlocal nodes
-        nodes += 1
-        if nodes > ctx.budget:
-            raise _over_budget(ctx, "monomial enumeration")
-        if n <= max_degree:
-            results.append((tuple(stack), g, n, charge))
-        for j in range(i, len(cands)):
-            qc, powers = cands[j]
-            for r, rg, rn, rk in powers:
-                # the degree bound of poincare_table: a node that fails it
-                # has n2 > max_degree (nu <= 0) and so does every node below
-                # it, and it fails for every larger r too
-                c2, n2 = charge + rk, n + rn
-                if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
-                    break
-                walk(j + 1, stack + [qc] * r, add(g, rg), n2, c2)
+        def walk(i, stack, g, n, charge):
+            meter.charge("monomial enumeration")
+            if n <= max_degree:
+                results.append((tuple(stack), g, n, charge))
+            for j in range(i, len(cands)):
+                qc, powers = cands[j]
+                for r, rg, rn, rk in powers:
+                    # the degree bound of poincare_table: a node that fails it
+                    # has n2 > max_degree (nu <= 0) and so does every node
+                    # below it, and it fails for every larger r too
+                    c2, n2 = charge + rk, n + rn
+                    if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
+                        break
+                    walk(j + 1, stack + [qc] * r, add(g, rg), n2, c2)
 
-    walk(0, [], ctx.group.zero(), 0, 0)
+        walk(0, [], ctx.group.zero(), 0, 0)
     return results
 
 
@@ -461,26 +449,23 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     charges add up to at most max_charge - c, so the finished monomial has
     degree at least that bound.  No monomial is built.
 
-    Each (class, partial product) step costs one unit of ctx.budget; raises
-    ResourceError past it.
+    Each word node and (class, partial product) step costs a meter unit.
     """
-    nu, cands = _candidates(ctx, max_degree, max_charge)
-    add = ctx.group.add
-    table = {(ctx.group.zero(), 0, 0): 1}
-    steps = 0
-    for _, powers in cands:
-        steps += len(table)
-        if steps > ctx.budget:
-            raise _over_budget(ctx, "table count")
-        grown = dict(table)
-        for (g, n, c), dim in table.items():
-            for _, rg, rn, rk in powers:
-                c2, n2 = c + rk, n + rn
-                # n2 + nu * (max_charge - c2) never falls as r grows, since
-                # rn - nu * rk = r * (n_b - nu * k_b) and n_b >= nu * k_b
-                if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
-                    break
-                key = (add(g, rg), n2, c2)
-                grown[key] = grown.get(key, 0) + dim
-        table = grown
+    with Meter(ctx.budget) as meter:
+        nu, cands = _candidates(ctx, max_degree, max_charge)
+        add = ctx.group.add
+        table = {(ctx.group.zero(), 0, 0): 1}
+        for _, powers in cands:
+            meter.charge("table count", len(table))
+            grown = dict(table)
+            for (g, n, c), dim in table.items():
+                for _, rg, rn, rk in powers:
+                    c2, n2 = c + rk, n + rn
+                    # n2 + nu * (max_charge - c2) never falls as r grows, since
+                    # rn - nu * rk = r * (n_b - nu * k_b) and n_b >= nu * k_b
+                    if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
+                        break
+                    key = (add(g, rg), n2, c2)
+                    grown[key] = grown.get(key, 0) + dim
+            table = grown
     return {key: dim for key, dim in table.items() if key[1] <= max_degree}

@@ -143,6 +143,43 @@ def test_long_power_exits_3(untw0_ctx_file, capsys, power):
     assert time.perf_counter() - start < 2.0
 
 
+def test_product_draws_on_the_budget(tmp_path, capsys):
+    # multiply and the Cartan step draw on the command's budget: at the
+    # default this action prints 50,784 terms after about 8 s
+    cfg = dict(_SIGN_CFG, chi=[1], generators=[
+        {"name": name, "g": [1], "n": n} for name, n in (("x", 2), ("y", 4), ("z", 6))])
+    path = tmp_path / "xyz.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code, out, err = run_cli(["act", "--context", str(path), "--budget", "50", "Q^{60}",
+                              "Q^{3} x * Q^{4} y * Q^{5} z * x * y * z"], capsys)
+    assert (code, out) == (3, "") and "budget of 50 units" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_family_row_draws_on_the_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["rewrite", "Q^{3000000} Q^{0}", "--budget", "10"], capsys)
+    assert (code, out) == (3, "") and err.startswith("error: Adem family rows")
+    assert time.perf_counter() - start < 0.5
+    code, out, _ = run_cli(["rewrite", "Q^{3000000} Q^{0}"], capsys)
+    assert (code, out) == (3, "")
+    # a row of 2,000 binomials: 165 terms
+    code, out, _ = run_cli(["rewrite", "Q^{3000} Q^{0}"], capsys)
+    assert code == 0 and out.startswith("2 Q^{1} Q^{2999} + ") and out.count(" + ") == 164
+
+
+@pytest.mark.parametrize("argv", [
+    ["rewrite", "Q^{%s} Q^{0}" % ("1" * 5000)],
+    ["act", "--context", "CTX", "Q^{1/2}", "x^" + "1" * 5000],
+    ["act", "--context", "CTX", "Q^{1/2}", "1" * 5000 + " * x"],
+])
+def test_huge_numerals_exit_2(sign_ctx_file, capsys, argv):
+    argv = [sign_ctx_file if a == "CTX" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and "5000 digits" in err
+
+
 def test_power_within_budget(untw0_ctx_file, capsys):
     code, out, _ = run_cli(["act", "--context", untw0_ctx_file, "Q^{0}", "x^300"], capsys)
     assert (code, out) == (0, "x^900\n")
@@ -305,6 +342,15 @@ def test_example_tables(capsys):
     doc = json.loads(out)
     col = {r["degree"]: r["dim"] for r in doc["rows"] if r["charge"] == 3}
     assert col == {q: 1 for q in range(11) if q % 4 in (1, 2)}
+
+
+def test_example_spends_one_budget(capsys):
+    # each column's walk fits 1,500 units, the two columns together do not
+    argv = ["example", "alternating", "--max-degree", "20", "--max-charge", "27"]
+    code, out, err = run_cli(argv + ["--budget", "1500"], capsys)
+    assert (code, out) == (3, "") and "monomial enumeration" in err
+    code, out, _ = run_cli(argv + ["--budget", "3000"], capsys)
+    assert code == 0 and out == run_cli(argv, capsys)[1]
 
 
 def test_selfcheck(capsys):
