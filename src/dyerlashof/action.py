@@ -108,7 +108,7 @@ def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
     if eps == 0 and s2 == n:
         return _power_monomial(qc, ctx.p, ctx)
     twist = ctx.chi.chi(qc.gen.g)
-    elt = DLElement(ctx.p, twist, {((eps, s2),) + qc.word: 1})
+    elt = DLElement._trusted(ctx.p, twist, {((eps, s2),) + qc.word: 1})
     nf = normalize(elt)
     return _combine(ctx, ((c, _realize_word(w, qc.gen, ctx)) for w, c in nf.terms.items()))
 

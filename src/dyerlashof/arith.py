@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ContractError, ValidationError
 
@@ -23,9 +24,11 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+@lru_cache(maxsize=64, typed=True)
 def check_odd_prime(p: int) -> None:
     """Raise ValidationError unless p is an odd prime <= P_MAX; the cap keeps
-    the trial division under 25,000 steps."""
+    the trial division under 25,000 steps.  Only a p that passes is cached,
+    and typed, so 3.0 or True never finds the entry of an int."""
     if not is_int(p):
         raise ValidationError(f"p must be an integer, got {p!r}")
     if p > P_MAX:

@@ -26,7 +26,15 @@ import heapq
 import math
 from functools import lru_cache
 
-from .arith import DEFAULT_BUDGET, binom_mod_p, half_factorial, twist_power, v_const
+from .arith import (
+    DEFAULT_BUDGET,
+    binom_mod_p,
+    check_odd_prime,
+    half_factorial,
+    is_int,
+    twist_power,
+    v_const,
+)
 from .errors import ContractError, Meter, ValidationError, charge
 
 Entry = tuple[int, int]  # (eps, s2) with s2 = 2s
@@ -39,8 +47,9 @@ def _check_entry(entry) -> None:
     if (
         not isinstance(entry, tuple)
         or len(entry) != 2
+        or not is_int(entry[0])
         or entry[0] not in (0, 1)
-        or not isinstance(entry[1], int)
+        or not is_int(entry[1])
     ):
         raise ValidationError(f"bad operation letter {entry!r}; want (eps, 2s)")
 
@@ -72,6 +81,7 @@ class DLElement:
     __slots__ = ("p", "twist", "terms")
 
     def __init__(self, p: int, twist: int, terms=None):
+        check_odd_prime(p)
         if twist not in (1, -1):
             raise ValidationError(f"twist must be +1 or -1, got {twist}")
         self.p = p
@@ -192,54 +202,24 @@ def _find_inadmissible(entries, p: int, strategy: str):
     return None
 
 
-# Heap keys.  normalize pops words in increasing packed-integer key order:
-#
-#   key = length, then field_0, ..., field_{L-1}, then the complemented beta mask
-#
-# from the most significant bits down, with field_j = top - s2_j in a fixed
-# width and mask bit j = 1 - eps_j.  Within one length this is the order of
-# (tuple(-s2_j), -sum(eps_j << j)): larger outer indices first.  Every Adem
-# output is strictly later than its source: expanding the pair at junction j
-# lowers s2_j by some d >= 0 and raises s2_{j+1} by the same d (the pair's
-# index sum is kept), and when d = 0 the beta moves from slot j+1 to slot j.
-# A word is therefore popped only after every contribution to it exists.
-# Rewriting keeps the length, so words of different lengths never meet; the
-# length field keeps their keys apart.
-#
-# The width must hold every index the rewrite can reach from the input, or
-# two words could share a key and a field could borrow from its neighbour.
-# The Adem outputs (a2, b2) = (r2 - j2, s2 + j2) of a pair (r2, s2) have
-# 0 <= j2 <= d + 2*b_off <= r2 - p*s2 (see _family_row; b_off <= 0), so
-# s2 <= b2 and p*s2 <= a2 <= r2.  By induction over the rewrite, then,
-# s2_j >= low_j with low_{L-1} = s2_{L-1} and low_j = min(s2_j, p*low_{j+1});
-# and every prefix sum s2_0 + ... + s2_j only decreases, so s2_j is at most
-# (s2_0 + ... + s2_j at the input) - (low_0 + ... + low_{j-1}).  _key_layout
-# takes the extremes over all input words.  Inside that range every field
-# stays in [0, 2^width), so the key of an output is exactly its source's key
-# plus d * (2^shift_j - 2^shift_{j+1}) plus (eps_out - eps_j) << j, the mask
-# change (the pair's beta count is kept too): no field borrows or carries.
+# Rewriting order.  normalize expands words in increasing rank
+#   rank(w) = sum_j (L - j) * (eps_j - s2_j),  L = len(w).
+# Expanding the pair at junction j lowers s2_j by an even j2 >= 0 (see
+# _family_row), raises s2_{j+1} by j2 and keeps the pair's beta count, so the
+# rank rises by exactly j2 + (e_out - eps_j) >= 1: when j2 = 0 the beta moves
+# outward.  Every contribution to a word thus comes from a word of lower rank,
+# and a word is expanded once, with its whole coefficient.  Words are keyed by
+# themselves; the rank only orders the work, so a wrong rank could at worst
+# expand a word twice, which is still correct by linearity.
 
 
-def _key_layout(words, p: int):
-    """Return (top, width, lmax): field_j = top - s2_j fits in width bits
-    for every word the rewrite can reach from words; lmax is the longest."""
-    top = bottom = 0
-    lmax = 0
-    for w in words:
-        lmax = max(lmax, len(w))
-        lows = []
-        low = None
-        for _, s2 in reversed(w):
-            low = s2 if low is None else min(s2, p * low)
-            lows.append(low)
-        lows.reverse()
-        prefix = low_prefix = 0
-        for (_, s2), low in zip(w, lows):
-            prefix += s2
-            top = max(top, prefix - low_prefix)
-            low_prefix += low
-        bottom = min([bottom, *lows])
-    return top, (top - bottom).bit_length(), lmax
+def _rank(w) -> int:
+    # the sum of the prefix sums of eps_j - s2_j: each term counts L - j times
+    rank = prefix = 0
+    for e, s2 in w:
+        prefix += e - s2
+        rank += prefix
+    return rank
 
 
 def normalize(elt: DLElement, strategy: str = "leftmost",
@@ -257,8 +237,12 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
         raise ContractError(f"unknown strategy {strategy!r}")
     p, twist = elt.p, elt.twist
     want = 0 if twist == 1 else 1
+    # terms: word -> coefficient, reduced mod p when used.  buckets: rank ->
+    # the words first met at that rank.  Only inadmissible words are queued:
+    # an admissible word is never expanded, so it stays in terms and collects
+    # its contributions to the end.
     terms = {}
-    todo = set()
+    buckets: dict = {}
     for w, c in elt.terms.items():
         c %= p
         if not c:
@@ -269,62 +253,49 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
         else:
             terms[w] = c
             if _find_inadmissible(w, p, "leftmost") is not None:
-                todo.add(w)
-    if not todo:
+                buckets.setdefault(_rank(w), []).append(w)
+    if not buckets:
         return DLElement._trusted(p, twist, terms)
 
-    top, width, lmax = _key_layout(terms, p)
-    shifts = [lmax + width * (lmax - 1 - j) for j in range(lmax)]
-    units = [(1 << shifts[j]) - (1 << shifts[j + 1]) for j in range(lmax - 1)]
-    len_shift = lmax + width * lmax
-    # key -> [coefficient, word]; a coefficient is reduced mod p when used.
-    # Only inadmissible words go on the heap: an admissible word is never
-    # expanded, so it stays here and collects its contributions to the end.
-    pending: dict = {}
-    heap: list = []
-    for w, c in terms.items():
-        key = len(w) << len_shift
-        for j, (e, s2) in enumerate(w):
-            key += ((top - s2) << shifts[j]) + ((1 - e) << j)
-        pending[key] = [c, w]
-        if w in todo:
-            heap.append(key)
+    heap = list(buckets)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     with Meter(budget) as meter:
         while heap:
-            key = heappop(heap)
-            c, w = pending.pop(key)
-            c %= p
-            if not c:
-                continue
-            meter.charge("rewriting")
-            pos = _find_inadmissible(w, p, strategy)
-            outer, inner = w[pos], w[pos + 1]
-            e1, s2 = outer[0], inner[1]
-            unit = units[pos]
-            head, tail = w[:pos], w[pos + 2:]
-            # An output word differs from w only in its pair, which is
-            # admissible: the word is admissible when head and tail are and
-            # the two new junctions next to the pair are.
-            rest_ok = (
-                _find_inadmissible(head, p, strategy) is None
-                and _find_inadmissible(tail, p, strategy) is None
-            )
-            left = head[-1][1] if head else -math.inf
-            cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
-            for pair, k in adem_expand(outer, inner, twist, p):
-                (e_out, a2), (_, b2) = pair
-                nkey = key + (b2 - s2) * unit + ((e_out - e1) << pos)
-                entry = pending.get(nkey)
-                if entry is not None:
-                    entry[0] += c * k
+            for w in buckets.pop(heappop(heap)):
+                c = terms.pop(w) % p
+                if not c:
                     continue
-                pending[nkey] = [c * k, head + pair + tail]
-                if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
-                    heappush(heap, nkey)
+                meter.charge("rewriting")
+                pos = _find_inadmissible(w, p, strategy)
+                head, tail = w[:pos], w[pos + 2:]
+                # An output word differs from w only in its pair, which is
+                # admissible: the word is admissible when head and tail are
+                # and the two new junctions next to the pair are.
+                rest_ok = (
+                    _find_inadmissible(head, p, strategy) is None
+                    and _find_inadmissible(tail, p, strategy) is None
+                )
+                left = head[-1][1] if head else -math.inf
+                cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
+                for pair, k in adem_expand(w[pos], w[pos + 1], twist, p):
+                    v = head + pair + tail
+                    old = terms.get(v)
+                    if old is not None:
+                        terms[v] = old + c * k
+                        continue
+                    terms[v] = c * k
+                    (e_out, a2), (_, b2) = pair
+                    if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
+                        r = _rank(v)
+                        bucket = buckets.get(r)
+                        if bucket is None:
+                            buckets[r] = [v]
+                            heappush(heap, r)
+                        else:
+                            bucket.append(v)
     result = {}
-    for c, w in pending.values():
+    for w, c in terms.items():
         c %= p
         if c:
             result[w] = c

@@ -87,6 +87,10 @@ def test_check_odd_prime():
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValidationError):
             check_odd_prime(bad)
+    # a p that passes is cached; an equal float must not find its entry
+    for bad in (3.0, 5.0):
+        with pytest.raises(ValidationError):
+            check_odd_prime(bad)
 
 
 def test_check_odd_prime_cap():

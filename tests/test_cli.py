@@ -1,12 +1,15 @@
 import argparse
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dyerlashof
 from dyerlashof.cli import (
     build_parser,
     element_str,
@@ -419,7 +422,9 @@ def test_byte_determinism(sign_ctx_file, capsys):
     _, out2, _ = run_cli(argv, capsys)
     assert out1 == out2
     cmd = [sys.executable, "-m", "dyerlashof.cli"] + argv
-    sub = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    # the child imports the package this process imported
+    env = {**os.environ, "PYTHONPATH": str(Path(dyerlashof.__file__).parents[1])}
+    sub = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
     assert sub.stdout == out1
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dyerlashof.dlalgebra import (
     DLElement,
     _find_inadmissible,
-    _key_layout,
+    _rank,
     adem_expand,
     adem_expand_lower,
     cross_check_composite,
@@ -17,7 +17,7 @@ from dyerlashof.dlalgebra import (
     word_charge,
     word_degree,
 )
-from dyerlashof.errors import ContractError, ResourceError
+from dyerlashof.errors import ContractError, Meter, ResourceError, ValidationError
 
 
 def admissible(entries, p, twist=1):
@@ -61,6 +61,25 @@ def test_admissibility():
     assert admissible([(0, 3)], 3, twist=-1)
     assert not admissible([(0, 3), (0, 2)], 3, twist=-1)
     assert admissible([], 3, twist=1)
+
+
+def test_dlelement_validates_its_input():
+    # p must be an odd prime, and a letter (eps, 2s) two plain integers: a
+    # bool would pass for 0 or 1
+    for p in (4, 9, 2, 1, True, 3.0):
+        with pytest.raises(ValidationError):
+            DLElement(p, 1, {((0, 4), (0, 0)): 1})
+    bad = (((True, 4), (0, 0)), ((0, 4), (0, False)), ((0, 4.0),), ((2, 4),), ((0,),))
+    for word in bad:
+        with pytest.raises(ValidationError):
+            DLElement(3, 1, {word: 1})
+    with pytest.raises(ValidationError):
+        DLElement(3, 0, {})
+    # adem_expand checks its letters the same way
+    with pytest.raises(ValidationError):
+        adem_expand((True, 2002), (0, 0), 1, 3)
+    with pytest.raises(ValidationError):
+        adem_expand((0, 2002), (0, False), 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +180,8 @@ def test_normalize_drops_mixed_parity():
     # one element holding words of lengths 1-4, some of the wrong parity:
     # rewriting keeps the length, so the normal form is the sum of the
     # words' separate normal forms.  The first two words differ only by a
-    # trailing bQ^10 at the largest index the rewrite can reach, so a heap
-    # key without the length would mix them up.
+    # trailing bQ^10 at the largest index the rewrite can reach, so one call
+    # holds words of several lengths that must stay apart.
     words = {
         ((0, 20),): 1,
         ((0, 20), (1, 20)): 2,
@@ -256,23 +275,41 @@ def test_normalize_huge_indices():
     (7, 1, ((1, 34), (0, -2), (0, -4))),
     (3, -1, ((0, 13), (1, -7), (0, -5), (1, -3))),
 ])
-def test_key_layout_holds_every_reachable_index(p, twist, word):
-    # every word reachable by Adem steps at any junction, in any order, keeps
-    # each heap-key field top - s2 inside its width
-    top, width, _ = _key_layout([word], p)
+def test_rank_rises_on_every_adem_step(p, twist, word):
+    # every word reachable by Adem steps at any junction, in any order, has a
+    # larger rank than the word it came from, so normalize meets it only
+    # after all of its contributions
     seen, todo = {word}, [word]
     while todo:
         w = todo.pop()
-        assert all(0 <= top - s2 < 2**width for _, s2 in w), w
         for i in range(len(w) - 1):
             (_, r2), (e2, s2) = w[i], w[i + 1]
             if r2 <= p * s2 - 2 * e2:
                 continue
             for pair, _ in adem_expand(w[i], w[i + 1], twist, p):
                 v = w[:i] + pair + w[i + 2:]
+                assert _rank(v) > _rank(w), (w, v)
                 if v not in seen:
                     seen.add(v)
                     todo.append(v)
+
+
+@pytest.mark.parametrize("p,twist,word,strategy,units,size", [
+    (7, 1, ((1, 34), (0, -2), (0, -4), (0, -4)), "leftmost", 35018, 138226),
+    (7, 1, ((1, 34), (0, -2), (0, -4), (0, -4)), "rightmost", 45674, 138226),
+    (3, -1, ((0, 13), (1, -7), (0, -5), (1, -3)), "leftmost", 1308, 2545),
+    (3, -1, ((0, 13), (1, -7), (0, -5), (1, -3)), "rightmost", 1370, 2545),
+    (5, 1, ((1, -34), (0, -22), (0, -36)), "leftmost", 447, 4164),
+    (5, 1, ((1, -34), (0, -22), (0, -36)), "rightmost", 814, 4164),
+])
+def test_normalize_expands_each_word_once(p, twist, word, strategy, units, size):
+    # a word is expanded only once its coefficient is complete, so the
+    # rewriting units are the number of reachable words with a nonzero
+    # coefficient; the first is the heaviest word of acceptance 4's corpus
+    with Meter(10**9) as m:
+        nf = normalize(DLElement(p, twist, {word: 1}), strategy)
+    assert m.counts["rewriting"] == units
+    assert len(nf.terms) == size
 
 
 def test_normalize_bad_strategy():
