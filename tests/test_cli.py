@@ -18,6 +18,7 @@ from dyerlashof.cli import (
     parse_word,
     word_str,
 )
+from dyerlashof.errors import ValidationError
 from dyerlashof.freealg import AlgebraElement, _enumerate_monomials
 from dyerlashof.appcalc import point_context
 
@@ -454,3 +455,55 @@ def test_element_roundtrip(twist, gen_n):
     assert parse_element("0 * x + x + 2 * x", ctx).is_zero
     assert parse_element("1", ctx) == AlgebraElement.unit(ctx)
     assert parse_element("2", ctx) == AlgebraElement.unit(ctx).scale(2)
+
+
+# The accepted language, one row per expression: the element it denotes in
+# the sign context (x twisted, in degree 0, so x^2 = 0 but its bQ^{1/2} x
+# squares), or the ValidationError message it raises.  A numeral opens its
+# term as the coefficient, except a 1 not followed by '*', the unit factor.
+_GRAMMAR = [
+    ("1", "1"),
+    ("2", "2 * 1"),
+    ("-1", "2 * 1"),
+    ("01", "1"),
+    ("0", "0"),
+    ("01 * x", "x"),
+    ("-1 * x", "2 * x"),
+    ("1 * x", "x"),
+    ("1 * 1", "1"),
+    ("2 * 1", "2 * 1"),
+    ("2 * 1^2", "2 * 1"),
+    ("x * 1", "x"),
+    ("1^2", "1"),
+    ("1 + x", "1 + x"),
+    ("x + 2 * x", "0"),
+    ("x^2", "0"),
+    ("bQ^{1/2} x^2", "bQ^{1/2} x^2"),
+    ("bQ^{1/2} x * bQ^{1/2} x", "bQ^{1/2} x^2"),
+    ("2 x", "parse error at position 2: expected '*' or '+' after a coefficient, got 'x'"),
+    ("2^2", "parse error at position 1: expected '*' or '+' after a coefficient, got '^'"),
+    ("x * 2", "parse error at position 4: expected a generator name or '1', got '2'"),
+    ("1 * 2", "parse error at position 4: expected a generator name or '1', got '2'"),
+    ("x x", "parse error at position 2: expected '+' between terms, got 'x'"),
+    ("1 x", "parse error at position 2: expected '+' between terms, got 'x'"),
+    ("x +", "parse error at position 3: expected a generator name or '1', got end of input"),
+    ("1 *", "parse error at position 3: expected a generator name or '1', got end of input"),
+    ("", "parse error at position 0: expected a generator name or '1', got end of input"),
+    ("Q^{1/2}", "parse error at position 7: expected a generator name or '1', got end of input"),
+    ("Q^{1/2} 1", "parse error at position 8: expected a generator name or '1', got '1'"),
+    ("x^0", "parse error at position 2: expected a positive exponent, got '0'"),
+    ("y", "parse error at position 0: unknown generator 'y'"),
+    ("x $", "parse error at position 2: '$'"),
+]
+
+
+@pytest.mark.parametrize("text,want", _GRAMMAR)
+def test_grammar_table(text, want):
+    ctx = point_context(3, -1, 10, 9)
+    if want.startswith("parse error"):
+        with pytest.raises(ValidationError) as exc:
+            parse_element(text, ctx)
+        assert str(exc.value) == want
+    else:
+        assert element_str(parse_element(text, ctx)) == want
+
