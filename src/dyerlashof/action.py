@@ -12,7 +12,7 @@ operations below the degree of their argument vanish.
 
 from __future__ import annotations
 
-from .arith import HalfInt, half_factorial
+from .arith import HalfInt, half_factorial, is_int
 from .dlalgebra import DLElement, excess, lower_from_upper, normalize
 from .errors import ContractError, Meter, ResourceError, charge
 from .freealg import (
@@ -20,6 +20,7 @@ from .freealg import (
     Context,
     Generator,
     QClass,
+    _combine,
     _repeatable,
     enumerate_qset,
     monomial_bidegree,
@@ -28,28 +29,18 @@ from .freealg import (
 
 
 def _as_s2(s) -> int:
-    if isinstance(s, HalfInt):
+    if isinstance(s, HalfInt) and is_int(s.twice):
         return s.twice
-    if isinstance(s, int):
+    if is_int(s):
         return 2 * s
     raise ContractError(f"operation index must be an int or HalfInt, got {s!r}")
-
-
-def _combine(ctx: Context, pairs) -> AlgebraElement:
-    """The sum of c * x over (c, x) pairs, built in one new dict; the x are
-    only read, so cached elements may be passed."""
-    out: dict = {}
-    for c, x in pairs:
-        for m, d in x.terms.items():
-            out[m] = out.get(m, 0) + c * d
-    return AlgebraElement(ctx, out)
 
 
 def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """beta^eps Q^s acting on an algebra element; linear over F_p.  The
     Cartan formula recurses once per factor of a monomial, so a product too
     long for the interpreter's stack raises ResourceError."""
-    if eps not in (0, 1):
+    if not is_int(eps) or eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     s2 = _as_s2(s)
     try:

@@ -8,7 +8,9 @@ Expression grammar (whitespace insignificant):
     opword  := (('b')? 'Q' '^' '{' rational '}')+
 
 with rationals written `a` or `a/2`.  A trailing `^e` raises the whole
-factor (operation word applied to the generator) to the e-th power.
+factor (operation word applied to the generator) to the e-th power.  A
+numeral opens its term as the coefficient, except a 1 that is not followed
+by '*', which is the unit factor; a bare coefficient is a multiple of 1.
 Output uses the same grammar, so printing and parsing round-trip.
 """
 
@@ -20,7 +22,7 @@ import re
 import sys
 
 from . import __version__
-from .arith import DEFAULT_BUDGET, HalfInt, binom_mod_p, check_odd_prime
+from .arith import DEFAULT_BUDGET, HalfInt, binom_mod_p
 from .action import apply_op, apply_word, suspension_check
 from .appcalc import alternating_table, point_context, sym_sign_table
 from .dlalgebra import (
@@ -35,6 +37,7 @@ from .freealg import (
     Context,
     Generator,
     QClass,
+    _combine,
     _op_symbol,
     basis,
     enumerate_dmodule_basis,
@@ -58,7 +61,7 @@ EXIT_RESOURCE = 3
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<op>b?Q\^\{-?\d+(?:/2)?\})
+      | (?P<op>(?P<beta>b?)Q\^\{(?P<index>-?\d+)(?P<half>/2)?\})
       | (?P<num>-?\d+)
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<star>\*)
@@ -68,22 +71,6 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
-_OP_INDEX = re.compile(r"(b?)Q\^\{(-?\d+)(/2)?\}")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValidationError(f"parse error at position {pos}: {text[pos:pos + 8]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
-    return tokens
-
 
 def _int(numeral):
     try:
@@ -92,12 +79,23 @@ def _int(numeral):
         raise ValidationError(f"numeral of {len(numeral)} digits is too long") from None
 
 
-def _op_entry(token):
-    m = _OP_INDEX.fullmatch(token)
-    eps = 1 if m.group(1) else 0
-    a = _int(m.group(2))
-    s2 = a if m.group(3) else 2 * a
-    return (eps, s2)
+def _tokenize(text):
+    """(kind, text, position, letter) per token, letter the (eps, s2) of an op."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ValidationError(f"parse error at position {pos}: {text[pos:pos + 8]!r}")
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "op":
+            a = _int(m["index"])
+            letter = (1 if m["beta"] else 0, a if m["half"] else 2 * a)
+            tokens.append((kind, m.group(), m.start(), letter))
+        elif kind != "ws":
+            tokens.append((kind, m.group(), m.start(), None))
+    return tokens
 
 
 class _Cursor:
@@ -106,8 +104,9 @@ class _Cursor:
         self.text = text
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
+    def peek(self, ahead=0):
+        i = self.i + ahead
+        return self.tokens[i] if i < len(self.tokens) else (None, "", len(self.text), None)
 
     def take(self):
         tok = self.peek()
@@ -115,7 +114,7 @@ class _Cursor:
         return tok
 
     def fail(self, expected):
-        kind, value, pos = self.peek()
+        kind, value, pos, _ = self.peek()
         got = repr(value) if kind else "end of input"
         raise ValidationError(f"parse error at position {pos}: expected {expected}, got {got}")
 
@@ -125,7 +124,7 @@ def parse_word(text):
     cur = _Cursor(_tokenize(text), text)
     entries = []
     while cur.peek()[0] == "op":
-        entries.append(_op_entry(cur.take()[1]))
+        entries.append(cur.take()[3])
     if not entries or cur.peek()[0] is not None:
         cur.fail("an operation letter like Q^{2} or bQ^{1/2}")
     return tuple(entries)
@@ -134,8 +133,8 @@ def parse_word(text):
 def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
     entries = []
     while cur.peek()[0] == "op":
-        entries.append(_op_entry(cur.take()[1]))
-    kind, value, pos = cur.peek()
+        entries.append(cur.take()[3])
+    kind, value, pos, _ = cur.peek()
     if kind == "num" and value == "1" and not entries:
         cur.take()
         base = AlgebraElement.unit(ctx)
@@ -148,12 +147,11 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
         base = apply_word(
             tuple(entries), AlgebraElement.from_monomial(ctx, (QClass(gen, ()),)), ctx
         )
-        entries = []
     else:
         cur.fail("a generator name or '1'")
     if cur.peek()[0] == "caret":
         cur.take()
-        kind, value, _ = cur.peek()
+        kind, value, _, _ = cur.peek()
         if kind != "num" or _int(value) < 1:
             cur.fail("a positive exponent")
         cur.take()
@@ -167,36 +165,31 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
 
 
 def parse_element(text, ctx: Context) -> AlgebraElement:
+    """One pass: each term gives a (coefficient, product) pair, all summed once."""
     cur = _Cursor(_tokenize(text), text)
+    pairs = []
     with Meter(ctx.budget):
-        total = AlgebraElement.zero(ctx)
         while True:
-            coeff = 1
-            if cur.peek()[0] == "num" and cur.peek()[1] != "1":
+            coeff, term = 1, None
+            kind, value, _, _ = cur.peek()
+            # a numeral is the coefficient, except a 1 not followed by '*': the unit
+            if kind == "num" and (value != "1" or cur.peek(1)[0] == "star"):
                 coeff = _int(cur.take()[1])
                 if cur.peek()[0] == "star":
                     cur.take()
                 elif cur.peek()[0] in ("plus", None):
-                    total = total.add(AlgebraElement.unit(ctx).scale(coeff))
-                    if cur.peek()[0] is None:
-                        return total
-                    cur.take()
-                    continue
+                    term = AlgebraElement.unit(ctx)
                 else:
                     cur.fail("'*' or '+' after a coefficient")
-            elif cur.peek()[0] == "num" and cur.peek()[1] == "1":
-                nxt = cur.tokens[cur.i + 1] if cur.i + 1 < len(cur.tokens) else (None,)
-                if nxt[0] == "star":
-                    coeff = int(cur.take()[1])
+            if term is None:
+                term = _parse_factor(cur, ctx)
+                while cur.peek()[0] == "star":
                     cur.take()
-            term = _parse_factor(cur, ctx)
-            while cur.peek()[0] == "star":
-                cur.take()
-                term = multiply(term, _parse_factor(cur, ctx), ctx)
-            total = total.add(term.scale(coeff))
+                    term = multiply(term, _parse_factor(cur, ctx), ctx)
+            pairs.append((coeff, term))
             kind = cur.peek()[0]
             if kind is None:
-                return total
+                return _combine(ctx, pairs)
             if kind != "plus":
                 cur.fail("'+' between terms")
             cur.take()
@@ -323,7 +316,6 @@ def _format_g(g):
 
 def cmd_rewrite(args, out):
     entries = parse_word(args.word)
-    check_odd_prime(args.p)
     twist = -1 if entries[-1][1] % 2 else 1
     elt = DLElement(args.p, twist, {entries: 1})
     out.write(dlelement_str(normalize(elt, budget=args.budget)) + "\n")
@@ -409,13 +401,20 @@ def cmd_example(args, out):
 # ---------------------------------------------------------------------------
 # selfcheck suites
 
+def _require(ok, what, *args):
+    """An assert that python -O keeps; what % args is formatted only on failure."""
+    if not ok:
+        raise AssertionError(what % args)
+
+
 def _check_binomials():
     import math
 
     for p in (3, 5):
         for m in range(61):
             for n in range(m + 1):
-                assert binom_mod_p(m, n, p) == math.comb(m, n) % p
+                _require(binom_mod_p(m, n, p) == math.comb(m, n) % p,
+                         "binom(%d, %d) mod %d", m, n, p)
 
 
 def _check_rewriter():
@@ -430,12 +429,12 @@ def _check_rewriter():
         elt = DLElement(p, -1 if par else 1, {entries: 1})
         left = normalize(elt, "leftmost")
         right = normalize(elt, "rightmost")
-        assert left.terms == right.terms
+        _require(left.terms == right.terms, "strategies differ on %r at p = %d", entries, p)
         again = normalize(left)
-        assert again.terms == left.terms
+        _require(again.terms == left.terms, "normalize(NF(%r)) != NF at p = %d", entries, p)
         d = word_degree(entries, p)
         for w in left.terms:
-            assert word_degree(w, p) == d
+            _require(word_degree(w, p) == d, "%r -> %r changes degree at p = %d", entries, w, p)
 
 
 def _check_crosscheck():
@@ -445,7 +444,7 @@ def _check_crosscheck():
                 for s in range(3):
                     for r in range(s + 1, 6):
                         a, b = cross_check_composite(r, s, case, n, 3, chi_g)
-                        assert a == b, (case, chi_g, n, s, r)
+                        _require(a == b, "%s r=%d s=%d n=%d chi=%d", case, r, s, n, chi_g)
 
 
 def _check_degree_law():
@@ -453,8 +452,8 @@ def _check_degree_law():
     for twist in (-1, 1):
         ctx = point_context(3, twist, 10, 27)
         for qc in enumerate_qset(ctx.generators, 10, 27, ctx):
-            assert qc.degree(ctx.p) >= 0
-            assert (qc.degree(ctx.p) == 0) == (not qc.word)
+            d = qc.degree(ctx.p)
+            _require(d >= 0 and (d == 0) == (not qc.word), "%r has degree %d", qc.word, d)
 
 
 def _check_action():
@@ -467,25 +466,27 @@ def _check_action():
             for eps in (0, 1):
                 for s2 in range(par, deg + 7, 2):
                     res = apply_op(eps, HalfInt(s2), AlgebraElement.from_monomial(ctx, mono), ctx)
+                    want = (ctx.group.scale(3, g), deg + s2 * 2 - eps, 3 * charge)
                     for m2 in res.terms:
-                        g2, n2 = monomial_bidegree(m2, ctx)
-                        assert g2 == ctx.group.scale(3, g)
-                        assert n2 == deg + s2 * 2 - eps
-                        assert monomial_charge(m2, ctx) == 3 * charge
+                        got = monomial_bidegree(m2, ctx) + (monomial_charge(m2, ctx),)
+                        _require(got == want, "%r on %r gives (g, n, charge) %r, not %r",
+                                 (eps, s2), monomial_str(mono), got, want)
 
 
 def _check_suspension():
     for twist in (-1, 1):
         ctx = point_context(3, twist, 8, 9)
-        assert suspension_check(ctx, max_degree=8, max_charge=3) == []
+        bad = suspension_check(ctx, max_degree=8, max_charge=3)
+        _require(not bad, "%s (twist %d)", "; ".join(bad), twist)
 
 
 def _check_oracles():
     sgn = sym_sign_table(3, 3, 10)
     col = {q for (k, q) in sgn if k == 3}
-    assert col == {q for q in range(11) if q % 4 in (1, 2)}
-    alt = alternating_table(3, 3, 10)
-    assert {q for (k, q) in alt if k == 3} == set(range(11))
+    want = {q for q in range(11) if q % 4 in (1, 2)}
+    _require(col == want, "sym-sign degrees at charge 3 are %s, not %s", sorted(col), sorted(want))
+    alt = {q for (k, q) in alternating_table(3, 3, 10) if k == 3}
+    _require(alt == set(range(11)), "alternating degrees at charge 3 are %s", sorted(alt))
 
 
 _SELFCHECK_SUITES = [

@@ -295,13 +295,10 @@ class AlgebraElement:
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         if other.ctx is not self.ctx:
             raise ContractError("elements belong to different contexts")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = (out.get(m, 0) + c) % self.ctx.p
-        return AlgebraElement(self.ctx, out)
+        return _combine(self.ctx, ((1, self), (1, other)))
 
     def scale(self, k: int) -> "AlgebraElement":
-        return AlgebraElement(self.ctx, {m: c * k for m, c in self.terms.items()})
+        return _combine(self.ctx, ((k, self),))
 
     def __eq__(self, other):
         return (
@@ -316,6 +313,16 @@ class AlgebraElement:
         bits = [f"{c}*{monomial_str(m)}" for m, c in sorted(
             self.terms.items(), key=lambda kv: tuple(q.sort_key() for q in kv[0]))]
         return "AlgebraElement(" + " + ".join(bits) + ")"
+
+
+def _combine(ctx: Context, pairs) -> AlgebraElement:
+    """The sum of c * x over (c, x) pairs, built in one new dict and reduced
+    mod p once; the x are only read, so cached elements may be passed."""
+    out: dict = {}
+    for c, x in pairs:
+        for m, d in x.terms.items():
+            out[m] = out.get(m, 0) + c * d
+    return AlgebraElement(ctx, out)
 
 
 def _merge_monomials(a, b, ctx: Context):
@@ -353,11 +360,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraEleme
             if merged is None:
                 continue
             mono, sign = merged
-            c = (out.get(mono, 0) + sign * ca * cb) % ctx.p
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + sign * ca * cb
     return AlgebraElement(ctx, out)
 
 

@@ -93,6 +93,10 @@ def test_bad_inputs():
         apply_op(2, H(1), AlgebraElement.unit(SIGN), SIGN)
     with pytest.raises(ContractError):
         apply_op(0, "1/2", AlgebraElement.unit(SIGN), SIGN)
+    # a bool is not an index or an eps, however it compares
+    for eps, s in ((0, True), (True, 0), (0, HalfInt(True)), (False, H(1))):
+        with pytest.raises(ContractError):
+            apply_op(eps, s, single(SIGN, "x"), SIGN)
 
 
 # ---------------------------------------------------------------------------

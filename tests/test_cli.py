@@ -18,7 +18,7 @@ from dyerlashof.cli import (
     parse_word,
     word_str,
 )
-from dyerlashof.errors import ValidationError
+from dyerlashof.errors import Meter, ValidationError
 from dyerlashof.freealg import AlgebraElement, _enumerate_monomials
 from dyerlashof.appcalc import point_context
 
@@ -364,6 +364,21 @@ def test_selfcheck(capsys):
     assert not any(line.startswith("FAIL") for line in out.splitlines())
 
 
+def test_selfcheck_checks_under_optimize():
+    # python -O strips assert statements; the suites must fail all the same
+    code = ("import sys, dyerlashof.cli as cli\n"
+            "cli.sym_sign_table = lambda *args: {}\n"
+            "sys.exit(cli.main(['selfcheck']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dyerlashof.__file__).parents[1])}
+    sub = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert sub.returncode == 1
+    lines = sub.stdout.splitlines()
+    assert "FAIL homology-oracles: sym-sign degrees at charge 3 are [], not " \
+        "[1, 2, 5, 6, 9, 10]" in lines
+    assert lines[-1] == "selfcheck: 6/7 suites passed"
+
+
 # ---------------------------------------------------------------------------
 # the flag surface: each command takes only the settings it reads
 
@@ -507,3 +522,20 @@ def test_grammar_table(text, want):
     else:
         assert element_str(parse_element(text, ctx)) == want
 
+
+def test_a_one_before_star_is_a_coefficient():
+    # read as the unit factor, the 1 would cost a multiply by x
+    with Meter(100) as meter:
+        assert element_str(parse_element("1 * x", point_context(3, -1, 10, 9))) == "x"
+    assert meter.counts == {}
+
+
+def test_long_element_roundtrip_is_linear():
+    # 2,000 terms of 88 kB: parsing sums the terms once, not once per term
+    ctx = point_context(3, 1, 40, 81)
+    monos = [m for m, _, _, _ in _enumerate_monomials(ctx, 40, 81)][:2000]
+    elt = AlgebraElement(ctx, {m: 1 + i % 2 for i, m in enumerate(monos)})
+    text = element_str(elt)
+    start = time.perf_counter()
+    assert parse_element(text, ctx) == elt
+    assert time.perf_counter() - start < 2.0
