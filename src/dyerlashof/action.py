@@ -6,15 +6,19 @@ to admissible form; each admissible output word J is then read off against
 the degree n of x: strict excess (e(J) + eps_1 > n) gives a basis class,
 equality with eps_1 = 0 gives a p-th power (iterated, per the excess lemma),
 anything else is zero.  On longer monomials the Cartan formula splits off
-the first factor and recurses; the range of the inner sum is finite because
-operations below the degree of their argument vanish.
+the first factor and applies the rest of the operation to the remaining
+factors; the suffixes of the monomial are summed shortest first, so each
+finds the next shorter one cached.  The range of each inner sum is finite
+because operations below the degree of their argument vanish.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .arith import HalfInt, half_factorial, is_int
 from .dlalgebra import DLElement, excess, lower_from_upper, normalize
-from .errors import ContractError, Meter, ResourceError, charge
+from .errors import ContractError, Meter, charge
 from .freealg import (
     AlgebraElement,
     Context,
@@ -23,7 +27,6 @@ from .freealg import (
     _combine,
     _repeatable,
     enumerate_qset,
-    monomial_bidegree,
     multiply,
 )
 
@@ -37,22 +40,14 @@ def _as_s2(s) -> int:
 
 
 def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
-    """beta^eps Q^s acting on an algebra element; linear over F_p.  The
-    Cartan formula recurses once per factor of a monomial, so a product too
-    long for the interpreter's stack raises ResourceError."""
+    """beta^eps Q^s acting on an algebra element; linear over F_p."""
     if not is_int(eps) or eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     s2 = _as_s2(s)
-    try:
-        with Meter(ctx.budget):
-            return _combine(ctx, (
-                (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
-            ))
-    except RecursionError:
-        longest = max(len(mono) for mono in e.terms)
-        raise ResourceError(
-            f"Cartan expansion of a product of {longest} factors nests too deep"
-        ) from None
+    with Meter(ctx.budget):
+        return _combine(ctx, (
+            (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
+        ))
 
 
 def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
@@ -114,44 +109,76 @@ def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
 
 
 def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
-    k = len(mono)
-    if k == 0:
+    if not mono:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
         return AlgebraElement.zero(ctx)
-    g, n = monomial_bidegree(mono, ctx)
-    if s2 % 2 != ctx.chi.parity(g):
+    bidegrees = [qc.bidegree(ctx) for qc in mono]
+    pars = [ctx.chi.parity(g) for g, _ in bidegrees]
+    if (s2 - sum(pars)) % 2:
         return AlgebraElement.zero(ctx)
-    if k == 1:
+    if len(mono) == 1:
         return _apply_qclass(eps, s2, mono[0], ctx)
-    f1, rest = mono[0], mono[1:]
-    g1, n1 = f1.bidegree(ctx)
-    gr, nr = monomial_bidegree(rest, ctx)
-    par1 = ctx.chi.parity(g1)
+    ns = [n for _, n in bidegrees]
+    # each suffix mono[i:]'s degree and parity, by a running sum from the
+    # right (parities are summed, not reduced), and each factor's least
+    # index: its degree rounded up to its parity
+    n_suf = [*accumulate(reversed(ns), initial=0)][::-1]
+    par_suf = [*accumulate(reversed(pars), initial=0)][::-1]
+    los = [n + (n - par) % 2 for n, par in zip(ns, pars)]
     half = (ctx.p - 1) // 2
-    # the Cartan formula is stated through the shuffle (g+h)^p -> g^p + h^p,
-    # which scales the twisted line by the braiding form p(p-1)/2 times
-    shuffle = -1 if (par1 * ctx.chi.parity(gr) * half) % 2 else 1
-    pieces = []
-    lo = n1
-    if (lo - par1) % 2:
-        lo += 1
-    j2s = range(lo, s2 - nr + 1, 2)
-    charge("Cartan pieces", len(j2s) * (eps + 1))
-    for j2 in j2s:
-        k2 = s2 - j2
-        sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
-        for e1 in range(eps, -1, -1):
-            # beta^eps acts as beta^e1 on f1 and beta^e2 on the rest; a
-            # beta moved past f1 picks up (-1)^n1
-            e2 = eps - e1
-            piece = multiply(
-                _apply_qclass(e1, j2, f1, ctx),
-                _apply_monomial(e2, k2, rest, ctx),
-                ctx,
-            )
-            pieces.append((-sign if e2 * n1 % 2 else sign, piece))
-    return _combine(ctx, pieces)
+    cache = ctx.__dict__.setdefault("_monomial_op_cache", {})
+
+    def pieces(i, e, t):
+        # the pieces of beta^e Q^{t/2} on mono[i:], counted without
+        # len(range), which overflows on a huge index
+        return max(0, (t - n_suf[i + 1] - los[i]) // 2 + 1) * (e + 1)
+
+    def cartan(i, e, t, rest):
+        # beta^e Q^{t/2} on mono[i:], splitting off its first factor f;
+        # rest[(e2, k2)] is beta^e2 Q^{k2/2} on mono[i+1:].  The formula is
+        # stated through the shuffle (g+h)^p -> g^p + h^p, which scales the
+        # twisted line by the braiding form p(p-1)/2 times
+        f = mono[i]
+        shuffle = -1 if (pars[i] * par_suf[i + 1] * half) % 2 else 1
+        out = []
+        for j2 in range(los[i], t - n_suf[i + 1] + 1, 2):
+            k2 = t - j2
+            sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
+            for e1 in range(e, -1, -1):
+                # beta^e acts as beta^e1 on f and beta^e2 on the rest; a
+                # beta moved past f picks up (-1)^n(f)
+                e2 = e - e1
+                piece = multiply(_apply_qclass(e1, j2, f, ctx), rest[(e2, k2)], ctx)
+                out.append((-sign if e2 * ns[i] % 2 else sign, piece))
+        return _combine(ctx, out)
+
+    # The top reads mono[1:] at each of its splits, each of those reads
+    # mono[2:], and so on: suffix mono[i:] is read at every e <= eps and
+    # every t of its parity from its degree up to s2 minus the least indices
+    # of the factors before it.  No such list is longer than the top's
+    # pieces, which are charged first.  The suffixes are summed shortest
+    # first, each from the one before, through the per-context cache.
+    charge("Cartan pieces", pieces(0, eps, s2))
+    tops = [s2 - c for c in accumulate(los, initial=0)]
+    rest = {}
+    for i in range(len(mono) - 1, 0, -1):
+        suffix, least = mono[i:], n_suf[i] + (n_suf[i] - par_suf[i]) % 2
+        here = {}
+        for t in range(least, tops[i] + 1, 2):
+            for e in range(eps + 1):
+                key = (e, t, suffix)
+                hit = cache.get(key)
+                if hit is None:
+                    if i == len(mono) - 1:
+                        hit = _apply_qclass(e, t, mono[i], ctx)
+                    else:
+                        charge("Cartan pieces", pieces(i, e, t))
+                        hit = cartan(i, e, t, rest)
+                    cache[key] = hit
+                here[e, t] = hit
+        rest = here
+    return cartan(0, eps, s2, rest)
 
 
 def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:

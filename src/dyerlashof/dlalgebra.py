@@ -140,10 +140,11 @@ def _family_row(d, p, t_off, b_off):
     """((j2, (-1)^((d-j2)/2) * binom mod p), ...) over the nonzero binomials."""
     lo = -(-(d + 2 * (b_off - t_off)) // p)  # ceil division
     lo += lo % 2
-    j2s = range(lo, d + 2 * b_off + 1, 2)
-    charge("Adem family rows", len(j2s))
+    top = d + 2 * b_off
+    # counted without len(range), which overflows on a huge index
+    charge("Adem family rows", max(0, (top - lo) // 2 + 1))
     row = []
-    for j2 in j2s:
+    for j2 in range(lo, top + 1, 2):
         c = binom_mod_p(j2 // 2 * (p - 1) + t_off, (d - j2) // 2 + b_off, p)
         if c:
             row.append((j2, -c if (d - j2) // 2 % 2 else c))

@@ -174,6 +174,21 @@ def test_family_row_draws_on_the_budget(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["rewrite", "Q^{%s} Q^{0}" % ("9" * 52), "--budget", "5"],
+    ["act", "--context", "CTX", "Q^{%s}" % ("9" * 52), "x * x"],
+    ["act", "--context", "CTX", "Q^{%s}" % ("9" * 52), "x * x * x"],
+])
+def test_huge_indices_exit_3(untw_ctx_file, capsys, argv):
+    # an Adem family row or a Cartan sum of about 10^52 terms is counted, not
+    # listed, so the meter refuses it at once
+    argv = [untw_ctx_file if a == "CTX" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "") and err.startswith("error:")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [
     ["rewrite", "Q^{%s} Q^{0}" % ("1" * 5000)],
     ["act", "--context", "CTX", "Q^{1/2}", "x^" + "1" * 5000],
     ["act", "--context", "CTX", "Q^{1/2}", "1" * 5000 + " * x"],
