@@ -86,13 +86,9 @@ def _apply_qclass(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
 
 
 def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
-    g, n = qc.bidegree(ctx)
-    if s2 % 2 != ctx.chi.parity(g):
-        return AlgebraElement.zero(ctx)
-    if s2 < n + eps:
-        return AlgebraElement.zero(ctx)
-    if eps == 0 and s2 == n:
-        return _power_monomial(qc, ctx.p, ctx)
+    # normalize drops an index of the wrong parity.  Strict excess gives the
+    # degree n of qc <= p*s2_1 - 2*eps_1, so for s2 <= n the word is admissible
+    # and normalize returns it free; _realize_word reads zero or the p-th power.
     twist = ctx.chi.chi(qc.gen.g)
     elt = DLElement._trusted(ctx.p, twist, {((eps, s2),) + qc.word: 1})
     nf = normalize(elt)

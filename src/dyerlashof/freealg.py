@@ -29,7 +29,7 @@ the strict inequality reappear in the algebra as p-th powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, check_odd_prime, is_int
 from .dlalgebra import excess, word_degree
@@ -37,24 +37,15 @@ from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter, swap_sign
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     g: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise ValidationError(f"generator name must be a nonempty string")
-        if not is_int(self.n):
-            raise ValidationError(f"generator degree must be an integer, got {self.n!r}")
-        if not isinstance(self.g, (tuple, list)):
-            raise ValidationError(f"generator grading must be a list, got {self.g!r}")
-        object.__setattr__(self, "g", tuple(self.g))
-
 
 class Context:
-    """A prime, a grading group with twist character, and named generators."""
+    """A prime, a grading group with twist character, and named generators,
+    each Generator checked here, where it enters the engine."""
 
     def __init__(self, p, group: GradingGroup, chi: TwistCharacter, generators,
                  max_degree=None, max_charge=None, budget: int = DEFAULT_BUDGET):
@@ -74,6 +65,12 @@ class Context:
         for gen in generators:
             if not isinstance(gen, Generator):
                 raise ValidationError(f"expected Generator, got {gen!r}")
+            if not isinstance(gen.name, str) or not gen.name:
+                raise ValidationError("generator name must be a nonempty string")
+            if not is_int(gen.n):
+                raise ValidationError(f"generator degree must be an integer, got {gen.n!r}")
+            if not isinstance(gen.g, (tuple, list)):
+                raise ValidationError(f"generator grading must be a list, got {gen.g!r}")
             if gen.name in seen:
                 raise ValidationError(f"duplicate generator name {gen.name!r}")
             seen.add(gen.name)
@@ -89,8 +86,7 @@ class Context:
         raise ValidationError(f"no generator named {name!r}")
 
 
-@dataclass(frozen=True)
-class QClass:
+class QClass(NamedTuple):
     """An admissible word applied to a generator: one element of Q(S)."""
 
     gen: Generator
@@ -272,6 +268,8 @@ class AlgebraElement:
         self.terms: dict[tuple[QClass, ...], int] = {}
         if terms:
             for mono, c in dict(terms).items():
+                if isinstance(mono, QClass):
+                    raise ContractError(f"a monomial is a tuple of QClasses, got {mono!r}")
                 c %= ctx.p
                 if c:
                     self.terms[tuple(mono)] = c
@@ -286,7 +284,7 @@ class AlgebraElement:
 
     @classmethod
     def from_monomial(cls, ctx, factors, coeff=1):
-        return cls(ctx, {tuple(factors): coeff})
+        return cls(ctx, {factors: coeff})
 
     @property
     def is_zero(self):
@@ -327,25 +325,25 @@ def _combine(ctx: Context, pairs) -> AlgebraElement:
 
 def _merge_monomials(a, b, ctx: Context):
     """Merge two sorted factor tuples; returns (sorted tuple, sign) or None
-    when a repeated odd-parity factor kills the product."""
+    when a repeated odd-parity factor kills the product.  Both are valid
+    monomials, so a new repeat can only be a factor y of b placed right after
+    an equal factor of a, and only there is it checked."""
     sign = 1
     out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if b[j].sort_key() < a[i].sort_key():
-            # b[j] moves past the remaining factors of a
-            for k in range(i, len(a)):
-                sign *= swap_sign(ctx.chi, a[k].bidegree(ctx), b[j].bidegree(ctx))
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
+    i = 0
+    for y in b:
+        key = y.sort_key()
+        j = i
+        while i < len(a) and a[i].sort_key() <= key:
             i += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    for t in range(len(out) - 1):
-        if out[t] == out[t + 1] and not _repeatable(out[t], ctx):
+        out.extend(a[j:i])
+        if i > j and a[i - 1] == y and not _repeatable(y, ctx):
             return None
+        # y moves past the remaining factors of a
+        for k in range(i, len(a)):
+            sign *= swap_sign(ctx.chi, a[k].bidegree(ctx), y.bidegree(ctx))
+        out.append(y)
+    out.extend(a[i:])
     return tuple(out), sign
 
 

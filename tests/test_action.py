@@ -8,7 +8,7 @@ import pytest
 from dyerlashof.appcalc import point_context
 from dyerlashof.arith import HalfInt
 from dyerlashof.dlalgebra import adem_expand
-from dyerlashof.errors import ContractError
+from dyerlashof.errors import ContractError, Meter
 from dyerlashof.freealg import (
     AlgebraElement,
     Context,
@@ -53,6 +53,20 @@ def test_unit_rules():
     assert apply_op(1, H(2), one, SIGN).is_zero
     assert apply_op(0, H(-2), one, SIGN).is_zero
     assert apply_op(0, H(1), one, SIGN).is_zero  # twist mismatch too
+
+
+def test_one_factor_rules_cost_nothing():
+    # below range, a twist mismatch and the bottom p-th power are read off
+    # the one-factor path without rewriting or an Adem family row
+    ctx = make_ctx(3, -1)
+    x = single(ctx, "x")
+    bq = single(ctx, "x", (1, 1))
+    with Meter(0):
+        assert apply_op(0, H(-1_999_999), x, ctx).is_zero
+        assert apply_op(1, H(-1), x, ctx).is_zero
+        assert apply_op(0, H(2), x, ctx).is_zero
+        (bqc,), = bq.terms
+        assert apply_op(0, H(1), bq, ctx) == AlgebraElement.from_monomial(ctx, (bqc,) * 3)
 
 
 def test_power_rule():

@@ -54,3 +54,21 @@ def test_adem_cache_counters():
 
     info = adem_expand.cache_info()
     assert all(n >= 0 for n in (info.hits, info.misses, info.currsize))
+
+
+def test_in_process_workloads_run_and_check(monkeypatch):
+    # what the bench calls and checks, not only its names: every op of each
+    # in-process workload at its tiny size
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    ran = []
+    for name, cls in workloads.WORKLOADS.items():
+        if not cls.in_process:
+            continue
+        workload = cls(101, tiny=True)
+        for op in workload.ops():
+            out = workload.run(op)
+            workload.check(op, out)
+            assert isinstance(workload.canonical(op, out), bytes)
+        ran.append(name)
+    assert sorted(ran) == ["action", "rewrite", "table"]

@@ -334,6 +334,22 @@ def test_malformed_config_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("name", "", "generator name must be a nonempty string"),
+    ("name", 5, "generator name must be a nonempty string"),
+    ("n", True, "generator degree must be an integer, got True"),
+    ("n", 1.5, "generator degree must be an integer, got 1.5"),
+    ("g", 1, "generator grading must be a list, got 1"),
+])
+def test_bad_generator_exits_2(tmp_path, capsys, key, value, message):
+    cfg = json.loads(json.dumps(_SIGN_CFG))
+    cfg["generators"][0][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["table", "--context", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_basis_rejects_wrong_rank(sign_ctx_file, capsys):
     code, out, err = run_cli(["basis", "--context", sign_ctx_file, "1,2", "4"], capsys)
     assert (code, out) == (2, "") and err.startswith("error:")

@@ -342,6 +342,31 @@ def test_context_validation():
         Context(3, group, chi, [], budget=10.5)
 
 
+@pytest.mark.parametrize("name,g,n,message", [
+    ("", (1,), 0, "generator name must be a nonempty string"),
+    (5, (1,), 0, "generator name must be a nonempty string"),
+    ("x", (1,), True, "generator degree must be an integer, got True"),
+    ("x", (1,), 1.5, "generator degree must be an integer, got 1.5"),
+    ("x", 1, 0, "generator grading must be a list, got 1"),
+])
+def test_context_checks_each_generator(name, g, n, message):
+    # a generator is checked where it enters the engine: by the Context
+    group = GradingGroup(1)
+    with pytest.raises(ValidationError) as err:
+        Context(3, group, TwistCharacter(group, (-1,)), [Generator(name, g, n)])
+    assert str(err.value) == message
+
+
+def test_a_bare_qclass_is_not_a_monomial():
+    # a QClass is a tuple, but not a tuple of factors
+    xq = QClass(SIGN.generator("x"), ())
+    with pytest.raises(ContractError):
+        AlgebraElement.from_monomial(SIGN, xq)
+    with pytest.raises(ContractError):
+        AlgebraElement(SIGN, {xq: 1})
+    assert AlgebraElement.from_monomial(SIGN, (xq,)).terms == {(xq,): 1}
+
+
 def test_basis_validates_bidegree():
     with pytest.raises(ValidationError):
         basis(((1, 2), 0), 9, SIGN)
