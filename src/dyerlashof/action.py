@@ -25,7 +25,6 @@ from .freealg import (
     Generator,
     QClass,
     _combine,
-    _repeatable,
     enumerate_qset,
     multiply,
 )
@@ -51,7 +50,7 @@ def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
 
 
 def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
-    if reps > 1 and not _repeatable(qc, ctx):
+    if reps > 1 and not ctx.class_data[qc][3]:
         return AlgebraElement.zero(ctx)
     return AlgebraElement.from_monomial(ctx, (qc,) * reps)
 
@@ -109,13 +108,13 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
         return AlgebraElement.zero(ctx)
-    bidegrees = [qc.bidegree(ctx) for qc in mono]
-    pars = [ctx.chi.parity(g) for g, _ in bidegrees]
+    rows = [ctx.class_data[qc] for qc in mono]
+    pars = [r[2] for r in rows]
     if (s2 - sum(pars)) % 2:
         return AlgebraElement.zero(ctx)
     if len(mono) == 1:
         return _apply_qclass(eps, s2, mono[0], ctx)
-    ns = [n for _, n in bidegrees]
+    ns = [r[1] for r in rows]
     # each suffix mono[i:]'s degree and parity, by a running sum from the
     # right (parities are summed, not reduced), and each factor's least
     # index: its degree rounded up to its parity

@@ -29,12 +29,13 @@ the strict inequality reappear in the algebra as p-th powers.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, check_odd_prime, is_int
 from .dlalgebra import excess, word_degree
 from .errors import ContractError, Meter, ValidationError, charge
-from .grading import GradingGroup, TwistCharacter, swap_sign
+from .grading import GradingGroup, TwistCharacter
 
 
 class Generator(NamedTuple):
@@ -84,6 +85,11 @@ class Context:
             if gen.name == name:
                 return gen
         raise ValidationError(f"no generator named {name!r}")
+
+    @cached_property
+    def class_data(self) -> "_ClassData":
+        """Each class's sort key, degree, parity and repeat flag here."""
+        return _ClassData(self)
 
 
 class QClass(NamedTuple):
@@ -228,6 +234,21 @@ def _repeatable(qc: QClass, ctx: Context) -> bool:
     return (n + ctx.chi.parity(g)) % 2 == 0
 
 
+class _ClassData(dict):
+    """ctx.class_data[qc] is (sort_key, degree n, twist parity, repeatable),
+    computed on the class's first use in its context."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+
+    def __missing__(self, qc: QClass):
+        g, n = qc.bidegree(self.ctx)
+        data = self[qc] = (qc.sort_key(), n, self.ctx.chi.parity(g), _repeatable(qc, self.ctx))
+        return data
+
+
 def monomial_bidegree(factors, ctx: Context):
     g = ctx.group.zero()
     n = 0
@@ -327,24 +348,29 @@ def _merge_monomials(a, b, ctx: Context):
     """Merge two sorted factor tuples; returns (sorted tuple, sign) or None
     when a repeated odd-parity factor kills the product.  Both are valid
     monomials, so a new repeat can only be a factor y of b placed right after
-    an equal factor of a, and only there is it checked."""
-    sign = 1
+    an equal factor of a, and only there is it checked.  y moving past the
+    factors of a left after it has Koszul sign (-1)^(n_y*sum n + par_y*sum par)."""
+    data = ctx.class_data
+    rows = [data[x] for x in a]
+    n_left = sum([r[1] for r in rows])
+    par_left = sum([r[2] for r in rows])
+    e = 0
     out = []
     i = 0
     for y in b:
-        key = y.sort_key()
+        key, n, par, repeatable = data[y]
         j = i
-        while i < len(a) and a[i].sort_key() <= key:
+        while i < len(a) and rows[i][0] <= key:
+            n_left -= rows[i][1]
+            par_left -= rows[i][2]
             i += 1
         out.extend(a[j:i])
-        if i > j and a[i - 1] == y and not _repeatable(y, ctx):
+        if i > j and a[i - 1] == y and not repeatable:
             return None
-        # y moves past the remaining factors of a
-        for k in range(i, len(a)):
-            sign *= swap_sign(ctx.chi, a[k].bidegree(ctx), y.bidegree(ctx))
+        e += n * n_left + par * par_left
         out.append(y)
     out.extend(a[i:])
-    return tuple(out), sign
+    return tuple(out), -1 if e % 2 else 1
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraElement:

@@ -1,4 +1,4 @@
-"""Grading groups, twist characters, and the Koszul sign rule.
+"""Grading groups and twist characters.
 
 A grading group is a finitely generated abelian group, presented as
 Z^free_rank + Z/t_1 + ... + Z/t_m.  Elements are integer tuples of length
@@ -107,9 +107,3 @@ class TwistCharacter:
     def chi(self, g) -> int:
         return -1 if self.parity(g) else 1
 
-
-def swap_sign(chi: TwistCharacter, bideg_a, bideg_b) -> int:
-    """Koszul sign (-1)^(n_a n_b + lambda(g_a) lambda(g_b)) for commuting two classes."""
-    (g_a, n_a), (g_b, n_b) = bideg_a, bideg_b
-    e = n_a * n_b + chi.parity(g_a) * chi.parity(g_b)
-    return -1 if e % 2 else 1
