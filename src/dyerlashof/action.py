@@ -108,13 +108,11 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
         return AlgebraElement.zero(ctx)
-    rows = [ctx.class_data[qc] for qc in mono]
-    pars = [r[2] for r in rows]
+    _, ns, pars, _ = zip(*[ctx.class_data[qc] for qc in mono])
     if (s2 - sum(pars)) % 2:
         return AlgebraElement.zero(ctx)
     if len(mono) == 1:
         return _apply_qclass(eps, s2, mono[0], ctx)
-    ns = [r[1] for r in rows]
     # each suffix mono[i:]'s degree and parity, by a running sum from the
     # right (parities are summed, not reduced), and each factor's least
     # index: its degree rounded up to its parity

@@ -357,7 +357,10 @@ def _merge_monomials(a, b, ctx: Context):
     e = 0
     out = []
     i = 0
-    for y in b:
+    for k, y in enumerate(b):
+        if i == len(a):  # the rest of b moves past nothing
+            out.extend(b[k:])
+            break
         key, n, par, repeatable = data[y]
         j = i
         while i < len(a) and rows[i][0] <= key:
