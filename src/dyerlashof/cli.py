@@ -40,6 +40,7 @@ from .freealg import (
     _combine,
     _op_symbol,
     basis,
+    element_str,
     enumerate_dmodule_basis,
     enumerate_qset,
     monomial_bidegree,
@@ -210,17 +211,6 @@ def dlelement_str(elt: DLElement) -> str:
         c = elt.terms[entries]
         w = word_str(entries) if entries else "1"
         parts.append(w if c == 1 else f"{c} {w}")
-    return " + ".join(parts)
-
-
-def element_str(elt: AlgebraElement) -> str:
-    if elt.is_zero:
-        return "0"
-    parts = []
-    for mono in sorted(elt.terms, key=lambda fs: tuple(q.sort_key() for q in fs)):
-        c = elt.terms[mono]
-        s = monomial_str(mono)
-        parts.append(s if c == 1 else f"{c} * {s}")
     return " + ".join(parts)
 
 

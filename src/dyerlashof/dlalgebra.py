@@ -162,7 +162,20 @@ def _family_terms(r2, s2, p, pref, t_off, b_off, e_out, e_in):
     ])
 
 
-@lru_cache(maxsize=None)
+# The four families and their constants in both indexings.  chi_half is
+# chi^((p-1)/2) at the twist chi of the words; in adem_expand_lower,
+# q_gns = (chi_g (-1)^n)^((p-1)/2) (-1)^(s(p-1)/2) on degree-n classes and
+# q_r = hf (-1)^(r(p-1)/2) with hf = ((p-1)/2)!.
+#
+#   family          case     upper        lower
+#   Q . Q           (b)QQ    chi_half     -q_gns
+#   Q . beta Q      QbQ      -chi_half    -q_gns
+#   beta Q . Q      QbQ      1            q_r
+#   beta Q . beta Q bQbQ     -chi_half    -q_gns
+#
+# beta Q . Q is the only family without the twist power on either side.
+
+
 def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     """Rewrite one inadmissible pair; returns ((word, coeff), ...) sorted by word.
 
@@ -170,9 +183,15 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     ContractError.  If the index parities are mixed or do not match the twist
     class the word is zero and an empty tuple is returned.
     """
+    # checked before the cache, which would find a bool letter's equal int key
+    _check_entry(outer)
+    _check_entry(inner)
+    return _adem_expand(outer, inner, twist, p)
+
+
+@lru_cache(maxsize=None)
+def _adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     (e1, r2), (e2, s2) = outer, inner
-    _check_entry((e1, r2))
-    _check_entry((e2, s2))
     if r2 <= p * s2 - 2 * e2:
         raise ContractError(f"pair {(outer, inner)} is admissible; nothing to expand")
     want = 0 if twist == 1 else 1
@@ -191,6 +210,10 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
         )
     # beta Q^r beta Q^s
     return _family_terms(r2, s2, p, -chi_half, -1, 0, 1, 1)
+
+
+adem_expand.cache_info = _adem_expand.cache_info
+adem_expand.cache_clear = _adem_expand.cache_clear
 
 
 def _find_inadmissible(entries, p: int, strategy: str):
@@ -312,8 +335,8 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
 # v(n) = (-1)^(n(n-1)(p-1)/4) hf^n:
 #   Q^s       = (-1)^s       v(n) Q_{m(p-1)}        (s integer)
 #   Q^(t+1/2) = (-1)^t hf^3  v(n) Q_{m(p-1)}
-# and the same constants with beta on both sides.  The lower operation is
-# zero when m < 0 (eps = 0) or m <= 0 (eps = 1).
+# that is (-1)^(s2//2) hf^(3(s2%2)) v(n) for s2 = 2s, and the same constants
+# with beta on both sides.  beta^eps Q_{m(p-1)} is zero when m < eps.
 
 
 def lower_from_upper(eps: int, s2: int, n: int, p: int):
@@ -325,18 +348,13 @@ def lower_from_upper(eps: int, s2: int, n: int, p: int):
     if eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     m = s2 - n
-    is_zero = m < 0 if eps == 0 else m <= 0
-    if s2 % 2 == 0:
-        sign = -1 if (s2 // 2) % 2 else 1
-        c = sign * v_const(n, p)
-    else:
-        hf = half_factorial(p)
-        sign = -1 if ((s2 - 1) // 2) % 2 else 1
-        c = sign * pow(hf, 3, p) * v_const(n, p)
-    return m * (p - 1), c % p, is_zero
+    sign = -1 if s2 // 2 % 2 else 1
+    c = sign * pow(half_factorial(p), 3 * (s2 % 2), p) * v_const(n, p)
+    return m * (p - 1), c % p, m < eps
 
 
-_LOWER_CASES = ("QQ", "bQQ", "QbQ", "bQbQ")
+# case -> (outer_beta, inner_beta)
+_LOWER_CASES = {"QQ": (0, 0), "bQQ": (1, 0), "QbQ": (0, 1), "bQbQ": (1, 1)}
 
 
 def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
@@ -350,9 +368,8 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
     operations; chi_g is the twist character value of the acted-on classes.
     """
     if case not in _LOWER_CASES:
-        raise ContractError(f"case must be one of {_LOWER_CASES}, got {case!r}")
-    inner_beta = case in ("QbQ", "bQbQ")
-    outer_beta = case in ("bQQ", "bQbQ")
+        raise ContractError(f"case must be one of {tuple(_LOWER_CASES)}, got {case!r}")
+    outer_beta, inner_beta = _LOWER_CASES[case]
     if chi_g not in (1, -1):
         raise ContractError(f"chi_g must be +1 or -1, got {chi_g}")
     if inner_beta:
@@ -365,40 +382,27 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
             raise ContractError(f"need r > s for {case}, got r={r}, s={s}")
         if s < 0:
             raise ContractError(f"inner Q needs s >= 0, got s={s}")
-    hf = half_factorial(p)
     q_base = chi_g if n % 2 == 0 else -chi_g
-    q_gns = twist_power(q_base, p) * (-1 if (s * (p - 1) // 2) % 2 else 1) % p
+    q_gns = twist_power(q_base, p) * (-1 if (s * (p - 1) // 2) % 2 else 1)
     out: dict = {}
 
-    def put(eps_out, m_out, eps_in, m_in, c):
-        c %= p
-        if not c:
-            return
-        if (m_out < 0 if eps_out == 0 else m_out < 1):
-            return
-        if (m_in < 0 if eps_in == 0 else m_in < 1):
-            return
-        key = ((eps_out, m_out), (eps_in, m_in))
-        nc = (out.get(key, 0) + c) % p
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
+    def family(eps_out, eps_in, top, m_top, t_off, const):
+        # const * sum_j (-1)^((top-j)/2) binom((j-s)(p-1)/2 + t_off, (top-j)/2)
+        #   applied to beta^eps_out Q_{(m_top-pj)(p-1)} beta^eps_in Q_{j(p-1)}
+        # over j in the parity class of top; below s the binomial's top is
+        # negative.  j fixes the key and const is a unit mod p, so each
+        # nonzero binomial writes one new nonzero term.
+        for j in range(s - (s - top) % 2, top + 1, 2):
+            b = (top - j) // 2
+            c = binom_mod_p((j - s) * (p - 1) // 2 + t_off, b, p)
+            m_out = m_top - p * j
+            if c and m_out >= eps_out and j >= eps_in:
+                out[((eps_out, m_out), (eps_in, j))] = (-c if b % 2 else c) * const % p
 
     if not inner_beta:
-        # Q_r Q_s family (and its beta-on-the-left twin):
-        # q_gns * sum_j (-1)^((r-j)/2) binom((j-s)(p-1)/2 - 1, (r-j)/2 - 1)
-        #   applied to Q_{(r+ps-pj)(p-1)} Q_{j(p-1)}
-        j0 = s - (s - r) % 2  # largest value <= s in the parity class of r
-        for j in range(j0 - 2 * (p + 2), r + 1, 2):
-            top = (j - s) * (p - 1) // 2 - 1
-            bot = (r - j) // 2 - 1
-            c = binom_mod_p(top, bot, p)
-            if not c:
-                continue
-            if (r - j) // 2 % 2:
-                c = -c
-            put(1 if outer_beta else 0, r + p * s - p * j, 0, j, q_gns * c)
+        # Q_r Q_s and its beta-on-the-left twin; the bottom (r-j)/2 - 1 and
+        # the sign (-1)^((r-j)/2) make top = r - 2 and the constant -q_gns
+        family(outer_beta, 0, r - 2, r + p * s, -1, -q_gns)
     elif not outer_beta:
         # Q_r beta Q_s: a beta Q . Q family with its own constant, then a
         # Q . beta Q family.  The first family's displayed coefficient is the
@@ -406,34 +410,11 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
         # (-1)^B binom(A-1, B) for A = (j-s)(p-1)/2, B = (r-1-j)/2, which
         # collapses to (-1)^B binom(A, B) (the value at the removable
         # singularity A = B included).
-        q_r = hf * (-1 if (r * (p - 1) // 2) % 2 else 1) % p
-        j0 = s - (s - (r - 1)) % 2
-        for j in range(j0 - 2 * (p + 2), r + 1, 2):
-            a = (j - s) * (p - 1) // 2
-            b = (r - 1 - j) // 2
-            c = binom_mod_p(a, b, p)
-            if c:
-                if b % 2:
-                    c = -c
-                put(1, r - 1 + p * s - p * j, 0, j, q_r * c)
-            c2 = binom_mod_p(a - 1, b, p)
-            if c2:
-                if b % 2:
-                    c2 = -c2
-                put(0, r + p * s - p * j, 1, j, -q_gns * c2)
+        q_r = half_factorial(p) * (-1 if (r * (p - 1) // 2) % 2 else 1)
+        family(1, 0, r - 1, r - 1 + p * s, 0, q_r)
+        family(0, 1, r - 1, r + p * s, -1, -q_gns)
     else:
-        # beta Q_r beta Q_s -> -q_gns * sum_j (-1)^B binom(A-1, B)
-        #   applied to beta Q_{(r+ps-pj)(p-1)} beta Q_{j(p-1)}
-        j0 = s - (s - (r - 1)) % 2
-        for j in range(j0 - 2 * (p + 2), r + 1, 2):
-            a = (j - s) * (p - 1) // 2
-            b = (r - 1 - j) // 2
-            c = binom_mod_p(a - 1, b, p)
-            if not c:
-                continue
-            if b % 2:
-                c = -c
-            put(1, r + p * s - p * j, 1, j, -q_gns * c)
+        family(1, 1, r - 1, r + p * s, -1, -q_gns)
     return out
 
 
@@ -442,21 +423,17 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
 
 
 def _upper_pair_from_lower(eps_out, m_out, eps_in, m_in, n, p):
-    """Convert a lower-indexed composite on degree-n classes to an upper word.
+    """Convert a lower-indexed composite of two nonzero operations on
+    degree-n classes to an upper word.
 
     Returns (word_entries, unit) with
-    (beta^eo) Q_{m_out(p-1)} (beta^ei) Q_{m_in(p-1)} = unit * upper word,
-    or None if either lower operation is zero.
+    (beta^eo) Q_{m_out(p-1)} (beta^ei) Q_{m_in(p-1)} = unit * upper word.
     """
     s2_in = m_in + n
-    _, c_in, z_in = lower_from_upper(eps_in, s2_in, n, p)
-    if z_in:
-        return None
     n_mid = p * n + m_in * (p - 1) - eps_in
     s2_out = m_out + n_mid
-    _, c_out, z_out = lower_from_upper(eps_out, s2_out, n_mid, p)
-    if z_out:
-        return None
+    c_in = lower_from_upper(eps_in, s2_in, n, p)[1]
+    c_out = lower_from_upper(eps_out, s2_out, n_mid, p)[1]
     unit = pow(c_out * c_in % p, p - 2, p)
     return ((eps_out, s2_out), (eps_in, s2_in)), unit
 
@@ -469,8 +446,7 @@ def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int)
     Route B converts the composite to a single upper word and normalizes it
     with the upper-indexed relations.  Returns (route_a, route_b).
     """
-    inner_beta = case in ("QbQ", "bQbQ")
-    outer_beta = case in ("bQQ", "bQbQ")
+    outer_beta, inner_beta = _LOWER_CASES[case]
     want = 0 if chi_g == 1 else 1
 
     def keep(entries):
@@ -480,31 +456,20 @@ def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int)
         )
 
     # the composite itself: zero operations make both routes trivially zero
-    if (inner_beta and s < 1) or (s < 0) or (outer_beta and r < 1) or (r < 0):
+    if s < inner_beta or r < outer_beta:
         return {}, {}
 
     # route B: convert the composite, rewrite with the upper-indexed relations
-    conv = _upper_pair_from_lower(
-        1 if outer_beta else 0, r, 1 if inner_beta else 0, s, n, p
-    )
-    route_b: dict = {}
-    if conv is not None:
-        entries, unit = conv
-        nf = normalize(DLElement(p, chi_g, {entries: unit}))
-        route_b = {w: c for w, c in nf.terms.items() if keep(w)}
+    entries, unit = _upper_pair_from_lower(outer_beta, r, inner_beta, s, n, p)
+    nf = normalize(DLElement(p, chi_g, {entries: unit}))
+    route_b = {w: c for w, c in nf.terms.items() if keep(w)}
 
-    # route A: lower-indexed relation, then convert each output pair
+    # route A: lower-indexed relation, then convert each output pair.  The
+    # outputs are nonzero operations and the conversion is one-to-one with a
+    # unit, so each gives one new nonzero term.
     route_a: dict = {}
     for ((eo, mo), (ei, mi)), c in adem_expand_lower(r, s, n, chi_g, p, case).items():
-        conv = _upper_pair_from_lower(eo, mo, ei, mi, n, p)
-        if conv is None:
-            continue
-        entries, unit = conv
-        if not keep(entries):
-            continue
-        nc = (route_a.get(entries, 0) + c * unit) % p
-        if nc:
-            route_a[entries] = nc
-        else:
-            route_a.pop(entries, None)
+        entries, unit = _upper_pair_from_lower(eo, mo, ei, mi, n, p)
+        if keep(entries):
+            route_a[entries] = c * unit % p
     return route_a, route_b

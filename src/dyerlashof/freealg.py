@@ -279,6 +279,17 @@ def monomial_str(factors) -> str:
     return " * ".join(parts)
 
 
+def element_str(elt: AlgebraElement) -> str:
+    if elt.is_zero:
+        return "0"
+    parts = []
+    for mono in sorted(elt.terms, key=lambda fs: tuple(q.sort_key() for q in fs)):
+        c = elt.terms[mono]
+        s = monomial_str(mono)
+        parts.append(s if c == 1 else f"{c} * {s}")
+    return " + ".join(parts)
+
+
 class AlgebraElement:
     """A linear combination of sorted monomials in QClasses."""
 
@@ -327,11 +338,7 @@ class AlgebraElement:
         )
 
     def __repr__(self):
-        if self.is_zero:
-            return "AlgebraElement(0)"
-        bits = [f"{c}*{monomial_str(m)}" for m, c in sorted(
-            self.terms.items(), key=lambda kv: tuple(q.sort_key() for q in kv[0]))]
-        return "AlgebraElement(" + " + ".join(bits) + ")"
+        return f"AlgebraElement({element_str(self)})"
 
 
 def _combine(ctx: Context, pairs) -> AlgebraElement:

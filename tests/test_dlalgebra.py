@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -75,7 +76,10 @@ def test_dlelement_validates_its_input():
             DLElement(3, 1, {word: 1})
     with pytest.raises(ValidationError):
         DLElement(3, 0, {})
-    # adem_expand checks its letters the same way
+    # adem_expand checks its letters the same way, also once the equal int
+    # keys are in its cache
+    adem_expand((1, 2002), (0, 0), 1, 3)
+    adem_expand((0, 2002), (0, 0), 1, 3)
     with pytest.raises(ValidationError):
         adem_expand((True, 2002), (0, 0), 1, 3)
     with pytest.raises(ValidationError):
@@ -365,6 +369,32 @@ def test_lower_adem_frozen_examples():
     # bQ_16 bQ_6 (r=8, s=3): +bQ_4 bQ_10
     got = adem_expand_lower(8, 3, 0, -1, 3, "bQbQ")
     assert got == {((1, 2), (1, 5)): 1}
+
+
+def test_lower_adem_grid_digest():
+    """Every lower-indexed expansion on a small grid, hashed.  The cross-check
+    drops terms of low excess, so it does not pin them; this does.  Recorded
+    before the relations were restated as families; a deliberate change of a
+    family constant (ROADMAP item 1) records it again."""
+    h = hashlib.sha256()
+    calls = 0
+    for p in (3, 5, 7):
+        for case in ("QQ", "bQQ", "QbQ", "bQbQ"):
+            for s in range(6):
+                for r in range(s, s + 16):
+                    for n in (-1, 0, 1, 2):
+                        for chi in (1, -1):
+                            try:
+                                got = adem_expand_lower(r, s, n, chi, p, case)
+                            except ContractError:
+                                continue
+                            calls += 1
+                            key = (p, case, s, r, n, chi, sorted(got.items()))
+                            h.update(repr(key).encode())
+    assert calls == 8160
+    assert h.hexdigest() == (
+        "28d925e8f07eb83f6241fa929c20b13a4fa5f68911272be98c41bc968f135bde"
+    )
 
 
 # ---------------------------------------------------------------------------
