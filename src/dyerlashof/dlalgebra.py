@@ -141,7 +141,8 @@ class DLElement:
 
 @lru_cache(maxsize=None)
 def _family_row(d, p, t_off, b_off):
-    """((j2, (-1)^((d-j2)/2) * binom mod p), ...) over the nonzero binomials."""
+    """(j2, (-1)^((d-j2)/2) * binom mod p, j2, ...) over the nonzero
+    binomials, flat: one int tuple per row, not a tuple per entry."""
     lo = -(-(d + 2 * (b_off - t_off)) // p)  # ceil division
     lo += lo % 2
     top = d + 2 * b_off
@@ -151,8 +152,24 @@ def _family_row(d, p, t_off, b_off):
     for j2 in range(lo, top + 1, 2):
         c = binom_mod_p(j2 // 2 * (p - 1) + t_off, (d - j2) // 2 + b_off, p)
         if c:
-            row.append((j2, -c if (d - j2) // 2 % 2 else c))
+            row += j2, -c if (d - j2) // 2 % 2 else c
     return tuple(row)
+
+
+class _LetterTable(dict):
+    """_LETTERS[eps, s2] is the one (eps, s2) tuple that every cached
+    expansion, and so every word normalize builds, uses for that letter:
+    one object per letter, not two per cached term.  It holds the distinct
+    letters seen, no more."""
+
+    __slots__ = ()
+
+    def __missing__(self, letter):
+        self[letter] = letter
+        return letter
+
+
+_LETTERS = _LetterTable()
 
 
 def _family_terms(r2, s2, p, pref, t_off, b_off, e_out, e_in):
@@ -160,9 +177,10 @@ def _family_terms(r2, s2, p, pref, t_off, b_off, e_out, e_in):
     j2 falls).  pref is a unit mod p, so every coefficient is nonzero."""
     if s2 * (p - 1) // 2 % 2:
         pref = -pref
+    row = _family_row(r2 - p * s2, p, t_off, b_off)
     return tuple([
-        (((e_out, r2 - j2), (e_in, s2 + j2)), c * pref % p)
-        for j2, c in reversed(_family_row(r2 - p * s2, p, t_off, b_off))
+        ((_LETTERS[e_out, r2 - j2], _LETTERS[e_in, s2 + j2]), c * pref % p)
+        for j2, c in zip(row[-2::-2], row[::-2])
     ])
 
 

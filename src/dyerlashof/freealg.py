@@ -131,8 +131,8 @@ def qclass_str(qc: QClass) -> str:
 
 def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
                      strict: bool):
-    """Admissible words over one generator, innermost letter first in the
-    recursion; strict picks e(I)+eps_1 > n (Q(S)) vs e(I) >= n (free module).
+    """Admissible words over one generator, built innermost letter first;
+    strict picks e(I)+eps_1 > n (Q(S)) vs e(I) >= n (free module).
 
     Returns the words; each node costs a unit of the meter (errors.Meter).
     """
@@ -158,11 +158,10 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
             m = p * m - 1
         return m
 
-    def extend(word, m):
+    def visit(word, m):
         # word is the already-built inner part (outermost letter first);
         # m = n + word_degree(word) is the degree of Q^word x.
         meter.charge("enumeration")
-        depth = len(word)
         if m <= max_degree:
             if strict:
                 ok = excess(word, p) + word[0][0] > n if word else True
@@ -170,8 +169,10 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
                 ok = excess(word, p) >= n if word else True
             if ok:
                 out.append(word)
-        if depth == levels:
-            return
+
+    def children(word, m):
+        # visit the viable one-letter extensions of word in search order,
+        # lazily, yielding those that may be extended further
         lo = m if not strict else m + 1
         if (lo - par) % 2:
             lo += 1
@@ -180,7 +181,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
             hi_adm = p * s2_h - 2 * e_h
         else:
             hi_adm = None
-        rem = levels - depth - 1
+        rem = levels - len(word) - 1
         for eps in (0, 1):
             # degree viability: the smallest reachable final degree from
             # m' = m + s2(p-1) - eps must not exceed max_degree
@@ -191,11 +192,24 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
             while s2 <= hi:
                 m2 = m + s2 * (p - 1) - eps
                 if minimum_final(m2, rem) <= max_degree:
-                    extend(((eps, s2),) + word, m2)
+                    child = ((eps, s2),) + word
+                    visit(child, m2)
+                    if rem:
+                        yield child, m2
                 s2 += 2
 
+    # depth first, each word visited before its extensions: one lazy frame
+    # per level, so a word of any length needs no interpreter stack.  The
+    # for loop resumes the top frame where it left off; break descends.
     with Meter(ctx.budget) as meter:
-        extend((), n)
+        visit((), n)
+        stack = [children((), n)] if levels else []
+        while stack:
+            for word, m in stack[-1]:
+                stack.append(children(word, m))
+                break
+            else:
+                stack.pop()
     return out
 
 

@@ -202,6 +202,19 @@ def test_huge_numerals_exit_2(sign_ctx_file, capsys, argv):
     assert (code, out) == (2, "") and err.startswith("error:") and "5000 digits" in err
 
 
+def test_long_words_need_no_stack(untw0_ctx_file, capsys):
+    # the free-module basis of a degree-0 x at charge 10^600 holds Q^{0}^k x
+    # for k up to 1,257, far past the interpreter's recursion limit
+    start = time.perf_counter()
+    code, out, err = run_cli(["dmodule", "--context", untw0_ctx_file, "--max-degree", "0",
+                              "--max-charge", "1" + "0" * 600], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1258 and lines[0] == "x"
+    assert lines[-1] == "Q^{0} " * 1257 + "x"
+    assert time.perf_counter() - start < 2.0
+
+
 def test_power_within_budget(untw0_ctx_file, capsys):
     code, out, _ = run_cli(["act", "--context", untw0_ctx_file, "Q^{0}", "x^300"], capsys)
     assert (code, out) == (0, "x^900\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyerlashof.dlalgebra import (
     DLElement,
+    _family_row,
     _find_inadmissible,
     _rank,
     adem_expand,
@@ -173,6 +174,50 @@ def test_adem_outputs_admissible():
             assert 1 <= c < p
             assert admissible(w, p, tw), (p, tw, (e1, r2), (e2, s2), w)
             assert word_degree(w, p) == word_degree(((e1, r2), (e2, s2)), p)
+
+
+def test_adem_grid_digest():
+    """Every upper-indexed expansion on a small grid, hashed with its order:
+    both twists, p = 3, 5, 7, the four beta cases, and every inadmissible
+    pair with -4 <= s2 < 8 and r2 < 48 (the wrong-parity ones give ()).
+    Recorded before the expansions shared their letters."""
+    h = hashlib.sha256()
+    calls = 0
+    for p in (3, 5, 7):
+        for twist in (1, -1):
+            for e1 in (0, 1):
+                for e2 in (0, 1):
+                    for s2 in range(-4, 8):
+                        for r2 in range(p * s2 - 2 * e2 + 1, 48):
+                            got = adem_expand((e1, r2), (e2, s2), twist, p)
+                            calls += 1
+                            h.update(repr((p, twist, e1, r2, e2, s2, got)).encode())
+    assert calls == 11672
+    assert h.hexdigest() == (
+        "d46fefeebaa5dc2b1577e432cdc228aad42f5684a3f26720aa8c7f8e54bbf6b0"
+    )
+
+
+def test_adem_expansions_share_their_letters():
+    # an equal output letter is one object across expansions, so the cache
+    # holds each letter once, however many terms use it
+    adem_expand.cache_clear()
+    _family_row.cache_clear()
+    ((qq, _),) = adem_expand((0, 4), (0, 0), 1, 3)  # Q^1 Q^1
+    ((qbq, _),) = adem_expand((0, 6), (1, 2), 1, 3)  # bQ^3 Q^1
+    assert qq == ((0, 2), (0, 2)) and qbq == ((1, 6), (0, 2))
+    assert qq[0] is qq[1] is qbq[1]
+    ((a, _),) = adem_expand((0, 10), (0, 2), 1, 3)  # Q^4 Q^2
+    (b, _), (c, _) = adem_expand((0, 12), (0, 2), 1, 3)  # Q^4 Q^3, Q^5 Q^2
+    assert a[0] == b[0] == (0, 8) and a[0] is b[0]
+    assert a[1] == c[1] == (0, 4) and a[1] is c[1]
+    # and normalize builds its words from them: five words, seven letters
+    nf = normalize(DLElement(3, 1, {((0, 30), (0, 6), (0, 2)): 1}))
+    letters = {}
+    for w in nf.terms:
+        for letter in w:
+            assert letters.setdefault(letter, letter) is letter
+    assert (len(nf.terms), len(letters)) == (5, 7)
 
 
 # ---------------------------------------------------------------------------
