@@ -24,6 +24,13 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def check_budget(budget) -> int:
+    """Return budget, or raise ValidationError unless it is an int >= 0."""
+    if not is_int(budget) or budget < 0:
+        raise ValidationError(f"budget must be a nonnegative integer, got {budget!r}")
+    return budget
+
+
 @lru_cache(maxsize=64, typed=True)
 def check_odd_prime(p: int) -> None:
     """Raise ValidationError unless p is an odd prime <= P_MAX; the cap keeps

@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import __version__
-from .arith import DEFAULT_BUDGET, HalfInt, binom_mod_p
+from .arith import DEFAULT_BUDGET, HalfInt, binom_mod_p, check_budget
 from .action import apply_op, apply_word, suspension_check
 from .appcalc import alternating_table, point_context, sym_sign_table
 from .dlalgebra import (
@@ -304,7 +304,7 @@ def cmd_rewrite(args, out):
     entries = parse_word(args.word)
     twist = -1 if entries[-1][1] % 2 else 1
     elt = DLElement(args.p, twist, {entries: 1})
-    out.write(dlelement_str(normalize(elt, budget=args.budget)) + "\n")
+    out.write(dlelement_str(normalize(elt, budget=check_budget(args.budget))) + "\n")
     return EXIT_OK
 
 
@@ -368,7 +368,7 @@ def cmd_dmodule(args, out):
 
 def cmd_example(args, out):
     make = sym_sign_table if args.which == "sym-sign" else alternating_table
-    with Meter(args.budget):
+    with Meter(check_budget(args.budget)):
         table = make(args.p, args.max_charge, args.max_degree)
     rows = [
         {

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .arith import DEFAULT_BUDGET, check_odd_prime, is_int
+from .arith import DEFAULT_BUDGET, check_budget, check_odd_prime, is_int
 from .dlalgebra import excess, word_degree
 from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter
@@ -56,8 +56,7 @@ class Context:
         for name, value in (("max_degree", max_degree), ("max_charge", max_charge)):
             if value is not None and not is_int(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not is_int(budget):
-            raise ValidationError(f"budget must be an integer, got {budget!r}")
+        check_budget(budget)
         self.p = p
         self.group = group
         self.chi = chi
@@ -247,11 +246,6 @@ def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context,
 # monomials and the free commutative algebra
 
 
-def _repeatable(qc: QClass, ctx: Context) -> bool:
-    g, n = qc.bidegree(ctx)
-    return (n + ctx.chi.parity(g)) % 2 == 0
-
-
 class _ClassData(dict):
     """ctx.class_data[qc] is (sort_key, degree n, twist parity, repeatable),
     computed on the class's first use in its context."""
@@ -431,15 +425,15 @@ def _candidates(ctx: Context, max_degree, max_charge):
     """The classes of Q(S) that can divide a monomial with degree <=
     max_degree and charge <= max_charge, with the powers each may appear in.
 
-    Returns (nu, cands): nu is _degree_floor, and cands lists (qc, powers)
-    in sort_key order, where powers holds (r, r*g, r*n, r*k) for each r the
-    walks may use: r <= max_charge // k for a repeatable class of charge k,
-    r = 1 for an exterior one, and for both r * (n - nu*k) <= max_degree -
-    nu * max_charge, since a monomial of degree n' and charge c' has n' >=
-    nu * c' and the walks stop once n' + r*n + nu * (max_charge - c' - r*k)
-    > max_degree.  Each power costs a unit of the meter, charged before the
-    list is built.  A factor of charge k sits beside others of total charge
-    <= max_charge - k and so of total degree >= nu * (max_charge - k), which
+    Returns (nu, cands): nu is _degree_floor, and cands lists one row
+    (qc, g, n, k, powers) per class in sort_key order: its bidegree, its
+    charge k and the range of powers r the walks may use.  r <= max_charge
+    // k for a repeatable class, r = 1 for an exterior one, and for both r *
+    (n - nu*k) <= max_degree - nu * max_charge, since a monomial of degree n'
+    and charge c' has n' >= nu * c' and the walks stop once n' + r*n + nu *
+    (max_charge - c' - r*k) > max_degree.  Each power costs a unit of the
+    meter.  A factor of charge k sits beside others of total charge <=
+    max_charge - k and so of total degree >= nu * (max_charge - k), which
     caps its own degree at max_degree - nu * (max_charge - 1).
     """
     nu = _degree_floor(ctx)
@@ -452,15 +446,14 @@ def _candidates(ctx: Context, max_degree, max_charge):
         top = max_charge // k if (n + ctx.chi.parity(g)) % 2 == 0 else 1
         if n > nu * k:
             top = max(0, min(top, room // (n - nu * k)))
-        charge("candidate powers", top)  # before a huge charge lists them
-        powers = [(r, ctx.group.scale(r, g), r * n, r * k) for r in range(1, top + 1)]
-        cands.append((qc, powers))
+        charge("candidate powers", top)
+        cands.append((qc, g, n, k, range(1, top + 1)))
     return nu, cands
 
 
 def _enumerate_monomials(ctx: Context, max_degree, max_charge):
     """List (factors, g, n, charge) for every monomial with n <= max_degree
-    and charge <= max_charge (the empty monomial included).
+    and charge <= max_charge, the empty one included if max_charge >= 0.
 
     Each node of the word search and of the walk costs a unit of the meter.
     """
@@ -469,22 +462,25 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
         add = ctx.group.add
         results = []
 
-        def walk(i, stack, g, n, charge):
+        def walk(i, factors, g, n, charge):
             meter.charge("monomial enumeration")
             if n <= max_degree:
-                results.append((tuple(stack), g, n, charge))
+                results.append((factors, g, n, charge))
             for j in range(i, len(cands)):
-                qc, powers = cands[j]
-                for r, rg, rn, rk in powers:
+                qc, bg, bn, bk, powers = cands[j]
+                f2, g2, n2, c2 = factors, g, n, charge
+                for _ in powers:
                     # the degree bound of poincare_table: a node that fails it
                     # has n2 > max_degree (nu <= 0) and so does every node
-                    # below it, and it fails for every larger r too
-                    c2, n2 = charge + rk, n + rn
+                    # below it, and it fails for every larger power too
+                    c2, n2 = c2 + bk, n2 + bn
                     if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
                         break
-                    walk(j + 1, stack + [qc] * r, add(g, rg), n2, c2)
+                    f2, g2 = f2 + (qc,), add(g2, bg)
+                    walk(j + 1, f2, g2, n2, c2)
 
-        walk(0, [], ctx.group.zero(), 0, 0)
+        if max_charge >= 0:
+            walk(0, (), ctx.group.zero(), 0, 0)
     return results
 
 
@@ -518,18 +514,19 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     with Meter(ctx.budget) as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
         add = ctx.group.add
-        table = {(ctx.group.zero(), 0, 0): 1}
-        for _, powers in cands:
+        table = {(ctx.group.zero(), 0, 0): 1} if max_charge >= 0 else {}
+        for _, bg, bn, bk, powers in cands:
             meter.charge("table count", len(table))
             grown = dict(table)
             for (g, n, c), dim in table.items():
-                for _, rg, rn, rk in powers:
-                    c2, n2 = c + rk, n + rn
-                    # n2 + nu * (max_charge - c2) never falls as r grows, since
-                    # rn - nu * rk = r * (n_b - nu * k_b) and n_b >= nu * k_b
-                    if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
+                for _ in powers:
+                    c, n = c + bk, n + bn
+                    # n + nu * (max_charge - c) never falls as the power
+                    # grows, since bn >= nu * bk
+                    if c > max_charge or n + nu * (max_charge - c) > max_degree:
                         break
-                    key = (add(g, rg), n2, c2)
+                    g = add(g, bg)
+                    key = (g, n, c)
                     grown[key] = grown.get(key, 0) + dim
             table = grown
     return {key: dim for key, dim in table.items() if key[1] <= max_degree}

@@ -3,7 +3,11 @@ on it: the test oracles for freealg._merge_monomials, which reads each
 class's degree and parity from its context's class-data table and sums the
 sign as one exponent."""
 
-from dyerlashof.freealg import _repeatable
+
+def repeatable(qc, ctx) -> bool:
+    """A class may repeat in a monomial when its degree plus twist parity is even."""
+    g, n = qc.bidegree(ctx)
+    return (n + ctx.chi.parity(g)) % 2 == 0
 
 
 def swap_sign(chi, bideg_a, bideg_b) -> int:
@@ -25,7 +29,7 @@ def merge_pairwise(a, b, ctx):
         while i < len(a) and a[i].sort_key() <= key:
             i += 1
         out.extend(a[j:i])
-        if i > j and a[i - 1] == y and not _repeatable(y, ctx):
+        if i > j and a[i - 1] == y and not repeatable(y, ctx):
             return None
         for k in range(i, len(a)):
             sign *= swap_sign(ctx.chi, a[k].bidegree(ctx), y.bidegree(ctx))

@@ -99,6 +99,8 @@ def test_rewrite_errors(capsys):
     assert code == 2 and "position" in err
     code, _, err = run_cli(["rewrite", "Q^{10} Q^{0}", "--budget", "0"], capsys)
     assert code == 3
+    code, out, err = run_cli(["rewrite", "Q^{10} Q^{0}", "--budget", "-1"], capsys)
+    assert (code, out) == (2, "") and "budget must be a nonnegative integer" in err
     code, _, err = run_cli(["rewrite", "Q^{2} Q^{0}", "--p", "4"], capsys)
     assert code == 2
     code, _, err = run_cli(["rewrite", ""], capsys)
@@ -114,6 +116,10 @@ def test_basis_examples(sign_ctx_file, capsys):
     assert (code, out) == (0, "x * bQ^{1/2} x\n")
     code, out, _ = run_cli(["basis", "--context", sign_ctx_file, "0", "0"], capsys)
     assert (code, out) == (0, "1\n")
+    # the unit has charge 0, above a negative cutoff
+    code, out, _ = run_cli(["basis", "--context", sign_ctx_file, "--max-charge", "-5", "0", "0"],
+                           capsys)
+    assert (code, out) == (0, "")
     code, out, _ = run_cli(["basis", "--context", sign_ctx_file, "2", "0"], capsys)
     assert (code, out) == (0, "")
 
@@ -266,7 +272,7 @@ def test_table_and_basis_budget(sign_ctx_file, capsys):
                               "--max-charge", "81", "--budget", "1000"], capsys)
     assert (code, out) == (3, "") and "budget" in err
     assert time.perf_counter() - start < 2.0
-    # the word search and the powers it lists take 2 + 2 units, the walk 4
+    # the word search and the powers it charges take 2 + 2 units, the walk 4
     code, out, err = run_cli(["basis", "--context", sign_ctx_file, "--budget", "4", "4", "1"],
                              capsys)
     assert (code, out) == (3, "") and "monomial enumeration" in err
@@ -338,6 +344,7 @@ _SIGN_CFG = {
     # JSON booleans are not integers
     ("max_degree", True), ("max_charge", True), ("budget", True), ("free_rank", True),
     ("chi", [True]), ("n", False), ("g", [True]),
+    ("budget", -1),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, key, value):
     cfg = json.loads(json.dumps(_SIGN_CFG))

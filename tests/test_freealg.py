@@ -1,19 +1,22 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from dyerlashof.appcalc import point_context
 from dyerlashof.dlalgebra import _find_inadmissible, excess, word_degree
-from dyerlashof.errors import ContractError, ResourceError, ValidationError
+from dyerlashof.errors import ContractError, Meter, ResourceError, ValidationError
 from dyerlashof.freealg import (
     AlgebraElement,
     Context,
     Generator,
     QClass,
+    _candidates,
     _enumerate_monomials,
     _merge_monomials,
-    _repeatable,
     basis,
     enumerate_dmodule_basis,
     enumerate_qset,
@@ -24,7 +27,7 @@ from dyerlashof.freealg import (
     qclass_str,
 )
 from dyerlashof.grading import GradingGroup, TwistCharacter
-from sign_oracle import merge_pairwise, swap_sign
+from sign_oracle import merge_pairwise, repeatable, swap_sign
 
 
 def make_ctx(p=3, twist=-1, gens=((("x"), (1,), 0),), **kw):
@@ -257,7 +260,7 @@ def random_monomial(rng, pool, ctx):
     factors repeat; a repeat of a non-repeatable class is dropped."""
     factors = []
     for qc in (rng.choice(pool) for _ in range(rng.randint(0, 6))):
-        if qc not in factors or _repeatable(qc, ctx):
+        if qc not in factors or repeatable(qc, ctx):
             factors.append(qc)
     return tuple(sorted(factors, key=QClass.sort_key))
 
@@ -360,6 +363,9 @@ def test_poincare_empty_context():
     ctx = Context(3, GradingGroup(1), TwistCharacter(GradingGroup(1), (-1,)), [])
     assert poincare_table(ctx, 5, 9) == {((0,), 0, 0): 1}
     assert poincare_table(SIGN, 5, 0) == {((0,), 0, 0): 1}
+    # the unit has charge 0, so a negative charge cutoff leaves nothing
+    assert poincare_table(SIGN, 5, -5) == {}
+    assert _enumerate_monomials(SIGN, 5, -5) == []
 
 
 def random_context(rng):
@@ -446,16 +452,70 @@ def test_basis_validates_bidegree():
         basis(((1, 2), 0), 9, SIGN)
 
 
+def negative_context(**kw):
+    """Z^2 + Z/3 with generators of degrees -2, 3 and -1."""
+    group = GradingGroup(2, (3,))
+    gens = [Generator("a", (1, 0, 1), -2), Generator("b", (0, 1, 2), 3),
+            Generator("c", (1, 1, 0), -1)]
+    return Context(3, group, TwistCharacter(group, (-1, 1, 1)), gens, **kw)
+
+
 def test_walk_prunes_by_degree_floor():
     # negative generator degrees: the walk cuts a partial product by the
     # same bound as the table count.  It needs 26,270 nodes here; pruning
     # only while every class left has degree >= 0 needs 680,778, past the
     # budget
-    group = GradingGroup(2, (3,))
-    gens = [Generator("a", (1, 0, 1), -2), Generator("b", (0, 1, 2), 3),
-            Generator("c", (1, 1, 0), -1)]
-    chi = TwistCharacter(group, (-1, 1, 1))
-    listed = _enumerate_monomials(Context(3, group, chi, gens, budget=50_000), 2, 15)
+    listed = _enumerate_monomials(negative_context(budget=50_000), 2, 15)
     assert len(listed) == 14_258
     counts = Counter((g, n, charge) for _, g, n, charge in listed)
-    assert poincare_table(Context(3, group, chi, gens), 2, 15) == dict(counts)
+    assert poincare_table(negative_context(), 2, 15) == dict(counts)
+
+
+def test_candidates_keep_one_row_per_class():
+    # a class's powers are a range, not one record each: x alone may appear
+    # in 100,000 powers here
+    ctx = point_context(3, 1, 0, 100_000)
+    tracemalloc.start()
+    try:
+        with Meter(ctx.budget) as meter:
+            _, cands = _candidates(ctx, 0, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert meter.counts == {"enumeration": 1, "candidate powers": 100_000}
+    assert len(cands) == 1
+    assert peak < 1_000_000
+
+
+def enumeration_digest(ctx, max_degree, max_charge):
+    """sha256 over the listed monomials in order (names, words, g, n,
+    charge), the sorted table, and the meter counts of both calls."""
+    h = hashlib.sha256()
+    with Meter(ctx.budget) as meter:
+        listed = _enumerate_monomials(ctx, max_degree, max_charge)
+    for factors, g, n, charge in listed:
+        h.update(repr(([(q.gen.name, q.word) for q in factors], g, n, charge)).encode())
+    h.update(repr(meter.counts).encode())
+    with Meter(ctx.budget) as meter:
+        table = poincare_table(ctx, max_degree, max_charge)
+    h.update(repr(sorted(table.items())).encode())
+    h.update(repr(meter.counts).encode())
+    return h.hexdigest()
+
+
+# The listing order is pinned with the contents: bench `action` runs its ops
+# in this order, and bench `cli` draws its `act` and `basis` inputs from it.
+@pytest.mark.parametrize("ctx,max_degree,max_charge,digest", [
+    (point_context(3, 1, 8, 9), 8, 9,
+     "47b1bc8aec90692146d984e9e837e5bc7cb7d15a30ba59f7358a143cf4a17d72"),
+    (point_context(3, -1, 13, 9), 13, 9,
+     "4d23dbc9ff8759976a5f32ce37a303e42d145b340c27cc2024beb01d1bcd778f"),
+    (point_context(3, -1, 20, 27), 20, 27,
+     "0574c211a9cc30c1175444e2cc0f6d14989c5a8b91e165f2cd0fd1f67c8c87ab"),
+    (point_context(5, 1, 30, 25), 30, 25,
+     "4d332c62d9983926e0f79f1dcf0fb2b7722b4d8cf8c1ba2c805113b0d7f7c7af"),
+    (negative_context(), 2, 15,
+     "64a959f5757add52cddfa17ee16c19f3e5cfcc48769a0df8e0a229437843fe1e"),
+], ids=["untw3-8-9", "sign3-13-9", "sign3-20-27", "untw5-30-25", "negative-2-15"])
+def test_enumeration_pinned(ctx, max_degree, max_charge, digest):
+    assert enumeration_digest(ctx, max_degree, max_charge) == digest
