@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -573,10 +574,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
     except DyerLashofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE if isinstance(exc, ResourceError) else EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered to
+        # devnull, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ the strict inequality reappear in the algebra as p-th powers.
 
 from __future__ import annotations
 
+import heapq
 from functools import cached_property
 from typing import NamedTuple
 
@@ -427,14 +428,15 @@ def _candidates(ctx: Context, max_degree, max_charge):
 
     Returns (nu, cands): nu is _degree_floor, and cands lists one row
     (qc, g, n, k, powers) per class in sort_key order: its bidegree, its
-    charge k and the range of powers r the walks may use.  r <= max_charge
-    // k for a repeatable class, r = 1 for an exterior one, and for both r *
-    (n - nu*k) <= max_degree - nu * max_charge, since a monomial of degree n'
-    and charge c' has n' >= nu * c' and the walks stop once n' + r*n + nu *
-    (max_charge - c' - r*k) > max_degree.  Each power costs a unit of the
-    meter.  A factor of charge k sits beside others of total charge <=
-    max_charge - k and so of total degree >= nu * (max_charge - k), which
-    caps its own degree at max_degree - nu * (max_charge - 1).
+    charge k and the range of powers r a monomial may hold it in.  r <=
+    max_charge // k for a repeatable class, r = 1 for an exterior one, and
+    for both r * (n - nu*k) <= max_degree - nu * max_charge, since a monomial
+    of degree n' and charge c' has n' >= nu * c' and the walk and the table
+    count drop it once n' + r*n + nu * (max_charge - c' - r*k) > max_degree.
+    Each power costs a unit of the meter.  A factor of charge k sits beside
+    others of total charge <= max_charge - k and so of total degree >= nu *
+    (max_charge - k), which caps its own degree at max_degree - nu *
+    (max_charge - 1).
     """
     nu = _degree_floor(ctx)
     room = max_degree - nu * max_charge
@@ -502,31 +504,52 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     The algebra is free graded-commutative on Q(S), so its Poincare series is
     the product of 1/(1 - t^b) over the repeatable classes b and of (1 + t^b)
     over the others, t^b standing for the class's (g, n, charge).  The
-    product is expanded one class at a time as a dict of partial counts,
-    truncated at charge max_charge.  A partial product of charge c is dropped
-    once n + nu * (max_charge - c) > max_degree, nu = _degree_floor: every
-    factor still to come has degree >= nu times its charge, and their
-    charges add up to at most max_charge - c, so the finished monomial has
-    degree at least that bound.  No monomial is built.
+    product is expanded one class at a time, truncated at charge max_charge,
+    with the partial counts kept as layers: charge c -> {(g, n): count}.
+    Multiplying by 1/(1 - t^b), b of charge k, is one running sum: visiting
+    the charges upward, layer c is added into layer c + k, and by then layer
+    c already holds its own multiples of b.  Multiplying by 1 + t^b is the
+    same step over the charges downward, so each entry moves once.  An entry
+    of charge c is dropped once n + nu * (max_charge - c) > max_degree, nu =
+    _degree_floor: every factor still to come has degree >= nu times its
+    charge, and their charges add up to at most max_charge - c, so the
+    finished monomial has degree at least that bound.  No monomial is built.
 
-    Each word node and (class, partial product) step costs a meter unit.
+    Each word node, and each entry of the partial table before a class is
+    multiplied in, costs a meter unit.  A class reads each entry of the
+    table it leaves at most once, so its work is bounded by the units the
+    next class is charged (or by the finished table, for the last class).
     """
     with Meter(ctx.budget) as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
         add = ctx.group.add
-        table = {(ctx.group.zero(), 0, 0): 1} if max_charge >= 0 else {}
+        layers = {0: {(ctx.group.zero(), 0): 1}} if max_charge >= 0 else {}
+        steps = {}  # bg -> {g: g + bg}, shared by the classes of one grading
         for _, bg, bn, bk, powers in cands:
-            meter.charge("table count", len(table))
-            grown = dict(table)
-            for (g, n, c), dim in table.items():
-                for _ in powers:
-                    c, n = c + bk, n + bn
-                    # n + nu * (max_charge - c) never falls as the power
-                    # grows, since bn >= nu * bk
-                    if c > max_charge or n + nu * (max_charge - c) > max_degree:
-                        break
-                    g = add(g, bg)
-                    key = (g, n, c)
-                    grown[key] = grown.get(key, 0) + dim
-            table = grown
-    return {key: dim for key, dim in table.items() if key[1] <= max_degree}
+            meter.charge("table count", sum(map(len, layers.values())))
+            repeat = len(powers) > 1  # else b enters a monomial at most once
+            step = steps.setdefault(bg, {})
+            last = max_charge - bk  # the top charge that may take b
+            # a sorted list is a heap: upward by heappop, downward by pop
+            charges = sorted([c for c in layers if c <= last])
+            while charges:
+                c = heapq.heappop(charges) if repeat else charges.pop()
+                # an entry (g, n) of charge c may take b iff n <= bound
+                bound = max_degree - nu * (last - c) - bn
+                dst = layers.get(c + bk)
+                fresh = dst is None
+                if fresh:
+                    dst = {}
+                for (g, n), dim in layers[c].items():
+                    if n <= bound:
+                        h = step.get(g)
+                        if h is None:
+                            h = step[g] = add(g, bg)
+                        key = (h, n + bn)
+                        dst[key] = dst.get(key, 0) + dim
+                if fresh and dst:
+                    layers[c + bk] = dst
+                    if repeat and c + bk <= last:
+                        heapq.heappush(charges, c + bk)
+    return {(g, n, c): dim for c, layer in layers.items()
+            for (g, n), dim in layer.items() if n <= max_degree}

@@ -513,6 +513,20 @@ def test_byte_determinism(sign_ctx_file, capsys):
     assert sub.stdout == out1
 
 
+def test_closed_pipe_exits_1_without_traceback(untw0_ctx_file):
+    # `table ... | head -1`: the reader leaves after one line of 20,001 rows
+    cmd = [sys.executable, "-m", "dyerlashof.cli", "table", "--context", untw0_ctx_file,
+           "--max-degree", "0", "--max-charge", "20000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(dyerlashof.__file__).parents[1])}
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as sub:
+        assert sub.stdout.readline() == b"charge\tg\tdegree\tdim\n"
+        sub.stdout.close()
+        err = sub.stderr.read()
+        assert sub.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+
+
 def test_word_roundtrip():
     rng = random.Random(11)
     for _ in range(200):

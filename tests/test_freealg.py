@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -27,7 +29,7 @@ from dyerlashof.freealg import (
     qclass_str,
 )
 from dyerlashof.grading import GradingGroup, TwistCharacter
-from sign_oracle import merge_pairwise, repeatable, swap_sign
+from sign_oracle import merge_pairwise, poincare_table_by_powers, repeatable, swap_sign
 
 
 def make_ctx(p=3, twist=-1, gens=((("x"), (1,), 0),), **kw):
@@ -469,6 +471,63 @@ def test_walk_prunes_by_degree_floor():
     assert len(listed) == 14_258
     counts = Counter((g, n, charge) for _, g, n, charge in listed)
     assert poincare_table(negative_context(), 2, 15) == dict(counts)
+
+
+def metered(fn, ctx, max_degree, max_charge):
+    """fn's table and meter counts, or the message it ran out of budget with."""
+    try:
+        with Meter(ctx.budget) as meter:
+            out = fn(ctx, max_degree, max_charge)
+    except ResourceError as exc:
+        return str(exc)
+    return out, meter.counts
+
+
+# the contexts of bench `table`: many monomials, heavy pruning, Z + Z/2 with a
+# negative-degree generator, and point contexts (p, twist, max_degree,
+# max_charge) over a ladder of sizes
+BENCH_TABLE_CASES = [
+    (point_context(3, -1, 44, 27), 44, 27),
+    (point_context(3, -1, 12, 243), 12, 243),
+    (zz2_context(), 6, 9),
+    *[(point_context(3, twist, d, 9), d, 9) for twist in (1, -1) for d in range(6, 21)],
+    *[(point_context(3, twist, d, 27), d, 27) for twist in (1, -1) for d in range(10, 19)],
+    *[(point_context(5, twist, d, 25), d, 25) for twist in (1, -1) for d in range(10, 35)],
+]
+
+
+def test_poincare_table_matches_power_walk():
+    # the running sum against the walk over every power, meter counts and
+    # exit-3 messages included, at cutoffs past what the monomial
+    # enumeration can afford
+    rng = random.Random(2027)
+    cases = [(negative_context(), 2, 15), *BENCH_TABLE_CASES]
+    for _ in range(60):
+        ctx, d, c = random_context(rng)
+        cases.append((ctx, d + rng.randint(4, 12), c + rng.randint(10, 30)))
+    assert len(cases) == 162
+    results = [metered(poincare_table_by_powers, ctx, d, c) for ctx, d, c in cases]
+    assert any(isinstance(r, str) for r in results)
+    for (ctx, d, c), want in zip(cases, results):
+        assert metered(poincare_table, ctx, d, c) == want, (ctx.p, ctx.group, d, c)
+
+
+def test_poincare_table_many_degree_zero_generators():
+    # N untwisted degree-0 generators in degree 0: the classes are the
+    # generators themselves, and charge c has C(N + c - 1, c) monomials.  The
+    # walk over every power (the oracle) takes 4.6 s already at N = 200 on a
+    # 2-core box
+    n_gens = 300
+    group = GradingGroup(1)
+    gens = [Generator(f"x{i}", (1,), 0) for i in range(n_gens)]
+    ctx = Context(3, group, TwistCharacter(group, (1,)), gens)
+    start = time.perf_counter()
+    with Meter(ctx.budget) as meter:
+        table = poincare_table(ctx, 0, n_gens)
+    assert time.perf_counter() - start < 5.0
+    assert table == {((c,), 0, c): math.comb(n_gens + c - 1, c) for c in range(n_gens + 1)}
+    assert meter.counts == {"enumeration": 300, "candidate powers": 90_000,
+                            "table count": 90_000}
 
 
 def test_candidates_keep_one_row_per_class():

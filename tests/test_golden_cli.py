@@ -33,6 +33,12 @@ CONTEXTS = {
             "max_degree": 6, "max_charge": 9},
     "xyz": dict(_SIGN3, chi=[1], generators=[{"name": n, "g": [1], "n": d}
                                              for n, d in (("x", 2), ("y", 4), ("z", 6))]),
+    # Z^2 + Z/3 with generators of negative degree
+    "neg": {"version": 1, "p": 3, "grading": {"free_rank": 2, "torsion_orders": [3]},
+            "chi": [-1, 1, 1], "generators": [{"name": "a", "g": [1, 0, 1], "n": -2},
+                                              {"name": "b", "g": [0, 1, 2], "n": 3},
+                                              {"name": "c", "g": [1, 1, 0], "n": -1}],
+            "max_degree": 2, "max_charge": 15},
 }
 C = "--context"
 
@@ -129,6 +135,10 @@ GOLDEN = [
      "7e2688c16a6c49085207b5922904bff03edcae19c64c54a8e5c0e3d9c138860a"),
     (["table", C, "@untw3", "--max-degree", "20", "--max-charge", "27"], 0,
      "bb65e030395dd25d8574d5df2b439bc801081bab87eaaed5b5f8557cd11005fe"),
+    (["table", C, "@sign3", "--max-degree", "44", "--max-charge", "27", "--format", "json"], 0,
+     "f4a94c4e217471fc78c8cea28b5ffe438c89f49dc2b278748f2e2fc7aa89e1a3"),
+    (["table", C, "@neg", "--format", "json"], 0,
+     "29a73a5e76c7a03ef9481a491f60c364376c8aa3756d24edb6e29b53cb05f642"),
     (["basis", C, "@untw3", "3", "6"], 0,
      "dc69d0e6d0134f8888a7a24adf78bd0f487b4d3d4953b13766715287a4a8f881"),
     (["basis", C, "@zz2", "1,1", "-1"], 0,
