@@ -48,15 +48,16 @@ def binom_mod_p(m: int, n: int, p: int) -> int:
     """binom(m, n) mod p by Lucas' theorem; 0 unless 0 <= n <= m."""
     if n < 0 or n > m:
         return 0
+    # once n's base-p digits run out, each digit of m left gives binom(m_i, 0) = 1
     r = 1
-    while n > 0 or m > 0:
+    while n:
         mi, ni = m % p, n % p
         if ni > mi:
             return 0
-        r = (r * math.comb(mi, ni)) % p
+        r = r * math.comb(mi, ni) % p
         m //= p
         n //= p
-    return r % p
+    return r
 
 
 def half_factorial(p: int) -> int:

@@ -29,6 +29,7 @@ from functools import lru_cache
 from .arith import (
     DEFAULT_BUDGET,
     binom_mod_p,
+    check_budget,
     check_odd_prime,
     half_factorial,
     is_int,
@@ -173,15 +174,17 @@ _LETTERS = _LetterTable()
 
 
 def _family_terms(r2, s2, p, pref, t_off, b_off, e_out, e_in):
-    """One family's output terms, sorted by word (the outer index rises as
-    j2 falls).  pref is a unit mod p, so every coefficient is nonzero."""
+    """One family's output pairs and their coefficients, as two tuples
+    sorted by pair (the outer index rises as j2 falls).  pref is a unit mod
+    p, so every coefficient is nonzero."""
     if s2 * (p - 1) // 2 % 2:
         pref = -pref
     row = _family_row(r2 - p * s2, p, t_off, b_off)
-    return tuple([
-        ((_LETTERS[e_out, r2 - j2], _LETTERS[e_in, s2 + j2]), c * pref % p)
-        for j2, c in zip(row[-2::-2], row[::-2])
+    letters = _LETTERS
+    pairs = tuple([
+        (letters[e_out, r2 - j2], letters[e_in, s2 + j2]) for j2 in row[-2::-2]
     ])
+    return pairs, tuple([c * pref % p for c in row[::-2]])
 
 
 # The four families and their constants in both indexings.  chi_half is
@@ -211,17 +214,22 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     _check_entry(inner)
     _check_twist(twist)
     check_odd_prime(p)
-    return _adem_expand(outer, inner, twist, p)
+    return tuple(zip(*_adem_expand(outer, inner, twist, p)))
+
+
+_ZERO = ((), ())
 
 
 @lru_cache(maxsize=None)
 def _adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
+    """adem_expand on trusted letters, flat: (pairs, coefficients).
+    normalize calls it directly."""
     (e1, r2), (e2, s2) = outer, inner
     if r2 <= p * s2 - 2 * e2:
         raise ContractError(f"pair {(outer, inner)} is admissible; nothing to expand")
     want = 0 if twist == 1 else 1
     if r2 % 2 != want or s2 % 2 != want:
-        return ()
+        return _ZERO
     chi_half = twist_power(twist, p)
     if e2 == 0:
         # beta^e1 Q^r Q^s
@@ -229,10 +237,9 @@ def _adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     if e1 == 0:
         # Q^r beta Q^s: a Q . beta Q family and a beta Q . Q family, which
         # share no word; the outer beta sorts last
-        return (
-            _family_terms(r2, s2, p, -chi_half, -1, 0, 0, 1)
-            + _family_terms(r2, s2, p, 1, 0, 0, 1, 0)
-        )
+        pairs, coeffs = _family_terms(r2, s2, p, -chi_half, -1, 0, 0, 1)
+        more_pairs, more_coeffs = _family_terms(r2, s2, p, 1, 0, 0, 1, 0)
+        return pairs + more_pairs, coeffs + more_coeffs
     # beta Q^r beta Q^s
     return _family_terms(r2, s2, p, -chi_half, -1, 0, 1, 1)
 
@@ -242,6 +249,9 @@ adem_expand.cache_clear = _adem_expand.cache_clear
 
 
 def _find_inadmissible(entries, p: int, strategy: str):
+    """The leftmost or rightmost inadmissible junction of a word, or None.
+    normalize scans in its own loop; the tests and bench/tracing.py use
+    this one."""
     n = len(entries) - 1
     rng = range(n - 1, -1, -1) if strategy == "rightmost" else range(n)
     for i in rng:
@@ -280,75 +290,91 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
     choice.  Each word expanded and each binomial of an uncached Adem family
     row costs a unit of the meter (errors.Meter; budget sizes a new one).
     Words whose indices are not all in the twist parity class are zero and
-    dropped.  If every word left is admissible it is returned as it is, free.
+    dropped.  If every word left is admissible it is returned as it is, free:
+    the budget is then not read, and otherwise it must be an int >= 0
+    (ValidationError).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ContractError(f"unknown strategy {strategy!r}")
     p, twist = elt.p, elt.twist
     want = 0 if twist == 1 else 1
-    # terms: word -> coefficient, reduced mod p when used.  buckets: rank ->
-    # the words first met at that rank.  Only inadmissible words are queued:
-    # an admissible word is never expanded, so it stays in terms and collects
-    # its contributions to the end.
+    # terms: word -> coefficient, reduced mod p.  buckets: rank -> the words
+    # first met at that rank.  Only inadmissible words are queued: an
+    # admissible word is never expanded, so it stays in terms and collects
+    # its contributions to the end.  The words and coefficients of elt are
+    # canonical (DLElement), so they are read as they are.
     terms = {}
     buckets: dict = {}
     for w, c in elt.terms.items():
-        c %= p
-        if not c:
-            continue
-        for _, s2 in w:
+        left = -math.inf
+        inadmissible = False
+        for e, s2 in w:
             if s2 % 2 != want:
                 break  # zero at this twist class
+            if left > p * s2 - 2 * e:
+                inadmissible = True
+            left = s2
         else:
             terms[w] = c
-            if _find_inadmissible(w, p, "leftmost") is not None:
+            if inadmissible:
                 buckets.setdefault(_rank(w), []).append(w)
     if not buckets:
         return DLElement._trusted(p, twist, terms)
 
+    check_budget(budget)
+    leftmost = strategy == "leftmost"
     heap = list(buckets)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     with Meter(budget) as meter:
         while heap:
-            for w in buckets.pop(heappop(heap)):
-                c = terms.pop(w) % p
+            rank = heappop(heap)
+            for w in buckets.pop(rank):
+                c = terms.pop(w)
                 if not c:
                     continue
                 meter.charge("rewriting")
-                pos = _find_inadmissible(w, p, strategy)
+                # w's inadmissible junctions, in one scan.  An output word
+                # differs from w only in its pair, which is admissible: the
+                # word is admissible when no junction of w away from the
+                # pair is, and the two new junctions next to the pair are
+                # admissible.  By the choice of pos every inadmissible
+                # junction lies on one side of it, so rest_ok reads one end.
+                bad = [i for i in range(len(w) - 1)
+                       if w[i][1] > p * w[i + 1][1] - 2 * w[i + 1][0]]
+                if leftmost:
+                    pos = bad[0]
+                    rest_ok = bad[-1] <= pos + 1
+                else:
+                    pos = bad[-1]
+                    rest_ok = bad[0] >= pos - 1
                 head, tail = w[:pos], w[pos + 2:]
-                # An output word differs from w only in its pair, which is
-                # admissible: the word is admissible when head and tail are
-                # and the two new junctions next to the pair are.
-                rest_ok = (
-                    _find_inadmissible(head, p, strategy) is None
-                    and _find_inadmissible(tail, p, strategy) is None
-                )
                 left = head[-1][1] if head else -math.inf
                 cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
-                for pair, k in adem_expand(w[pos], w[pos + 1], twist, p):
+                e1, r2 = w[pos]
+                # an output word's rank is rank + j2 + e_out - e1 (see
+                # above) with j2 = r2 - a2, that is base + e_out - a2
+                base = rank + r2 - e1
+                pairs, coeffs = _adem_expand(w[pos], w[pos + 1], twist, p)
+                for pair, k in zip(pairs, coeffs):
                     v = head + pair + tail
                     old = terms.get(v)
                     if old is not None:
-                        terms[v] = old + c * k
+                        terms[v] = (old + c * k) % p
                         continue
-                    terms[v] = c * k
+                    terms[v] = c * k % p
                     (e_out, a2), (_, b2) = pair
                     if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
-                        r = _rank(v)
+                        r = base + e_out - a2
                         bucket = buckets.get(r)
                         if bucket is None:
                             buckets[r] = [v]
                             heappush(heap, r)
                         else:
                             bucket.append(v)
-    result = {}
-    for w, c in terms.items():
-        c %= p
-        if c:
-            result[w] = c
-    return DLElement._trusted(p, twist, result)
+    for w in [w for w, c in terms.items() if not c]:
+        del terms[w]
+    return DLElement._trusted(p, twist, terms)
 
 
 # ---------------------------------------------------------------------------

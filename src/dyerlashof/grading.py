@@ -17,6 +17,7 @@ coordinates, and reducing a coordinate mod an even order keeps its parity.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from .arith import is_int
@@ -63,12 +64,18 @@ class GradingGroup(namedtuple("GradingGroup", "free_rank torsion_orders")):
         return (0,) * self.rank
 
     def add(self, a, b) -> tuple[int, ...]:
-        """a + b for canonical elements; nothing is checked."""
-        return self._reduce([x + y for x, y in zip(a, b)])
+        """a + b for canonical elements; nothing is checked, and with no
+        torsion nothing is reduced."""
+        if self.torsion_orders:
+            return self._reduce(list(map(operator.add, a, b)))
+        return tuple(map(operator.add, a, b))
 
     def scale(self, k: int, a) -> tuple[int, ...]:
-        """k * a for a canonical element; nothing is checked."""
-        return self._reduce([k * x for x in a])
+        """k * a for a canonical element; nothing is checked, and with no
+        torsion nothing is reduced."""
+        if self.torsion_orders:
+            return self._reduce([k * x for x in a])
+        return tuple([k * x for x in a])
 
 
 class TwistCharacter(namedtuple("TwistCharacter", "group signs")):

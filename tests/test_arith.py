@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -46,6 +47,18 @@ def test_binom_lucas_vs_factorial_sample():
 )
 def test_binom_matches_oracle(m, n, p):
     assert binom_mod_p(m, n, p) == binom_oracle(m, n, p)
+
+
+def test_binom_m_longer_than_n():
+    # m has more base-p digits than n: each digit of m past n's top one
+    # contributes binom(m_i, 0) = 1
+    rng = random.Random(6)
+    for p in (3, 5, 7, 2147483629):
+        for n in range(7):
+            ms = [n, p - 1, p, p + n, p * p + n, 10**12 - n, 10**12]
+            ms += [rng.randint(n, 10**12) for _ in range(40)]
+            for m in ms:
+                assert binom_mod_p(m, n, p) == math.comb(m, n) % p, (m, n, p)
 
 
 def test_half_factorial():

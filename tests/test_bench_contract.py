@@ -56,6 +56,20 @@ def test_adem_cache_counters():
     assert all(n >= 0 for n in (info.hits, info.misses, info.currsize))
 
 
+def test_normalize_counts_in_the_adem_cache():
+    # normalize calls the cache behind adem_expand directly, so its lookups
+    # must still show in the counters bench/worker.py reads
+    from dyerlashof.dlalgebra import DLElement, adem_expand, normalize
+
+    adem_expand.cache_clear()
+    elt = DLElement(3, 1, {((0, 20), (0, 0)): 1})
+    normalize(elt)
+    info = adem_expand.cache_info()
+    assert info.misses > 0 and info.currsize > 0
+    normalize(elt)
+    assert adem_expand.cache_info().hits > info.hits
+
+
 def test_in_process_workloads_run_and_check(monkeypatch):
     # what the bench calls and checks, not only its names: every op of each
     # in-process workload at its tiny size

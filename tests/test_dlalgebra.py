@@ -20,6 +20,7 @@ from dyerlashof.dlalgebra import (
     word_degree,
 )
 from dyerlashof.errors import ContractError, Meter, ResourceError, ValidationError
+from test_acceptance import _rewrite_corpus
 
 
 def admissible(entries, p, twist=1):
@@ -300,6 +301,37 @@ def test_normalize_budget():
     for strategy in ("leftmost", "rightmost"):
         assert normalize(DLElement(3, 1, nf), strategy, budget=0) == DLElement(3, 1, nf)
         assert normalize(e, strategy, budget=0) == DLElement(3, 1, nf)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, "x", True])
+def test_normalize_checks_its_budget(budget):
+    with pytest.raises(ValidationError):
+        normalize(DLElement(3, 1, {((0, 20), (0, 0)): 1}), budget=budget)
+
+
+def test_rewriting_kernel_pinned():
+    """Every 30th word of strata 2-8 of acceptance 4's corpus (its words of
+    length 3 and 4), from cold caches: a digest of the normal forms and the
+    units of each strategy.  Recorded before normalize read the Adem cache
+    directly and kept its coefficients reduced."""
+    corpus = _rewrite_corpus(random.Random(2024))
+    words = [w for w in corpus if len(w[2]) > 2][::30]
+    assert len(words) == 78
+    for strategy, units in (
+        ("leftmost", {"rewriting": 3839, "Adem family rows": 72351}),
+        ("rightmost", {"rewriting": 3349, "Adem family rows": 55374}),
+    ):
+        adem_expand.cache_clear()
+        _family_row.cache_clear()
+        h = hashlib.sha256()
+        with Meter(10**9) as m:
+            for p, twist, entries in words:
+                nf = normalize(DLElement(p, twist, {entries: 1}), strategy)
+                h.update(repr(sorted(nf.terms.items())).encode())
+        assert m.counts == units
+        assert h.hexdigest() == (
+            "bcb1fdda7dd04625639f299875bfb5bcd9a054e76599258817468f6a9d98a52a"
+        )
 
 
 def test_normalize_huge_indices():

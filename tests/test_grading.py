@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,22 @@ def test_chi_ignores_reduction(a):
     for signs in itertools.product((1, -1), repeat=3):
         chi = TwistCharacter(g, signs)
         assert chi.chi(a) == chi.chi(g.validate(a))
+
+
+@pytest.mark.parametrize("free_rank,torsion_orders", [
+    (0, ()), (1, ()), (3, ()), (1, (2,)), (1, (3,)),
+])
+def test_add_and_scale_equal_the_reduction(free_rank, torsion_orders):
+    # with no torsion add and scale skip the reduction; either way they
+    # equal reducing the coordinatewise sum and multiple
+    g = GradingGroup(free_rank, torsion_orders)
+    rng = random.Random(free_rank + sum(torsion_orders))
+    for _ in range(300):
+        a, b = (g.validate([rng.randint(-50, 50) for _ in range(g.rank)]) for _ in "ab")
+        k = rng.randint(-7, 7)
+        assert g.add(a, b) == g.validate([x + y for x, y in zip(a, b)])
+        assert g.scale(k, a) == g.validate([k * x for x in a])
+        assert type(g.add(a, b)) is type(g.scale(k, a)) is tuple
 
 
 def test_swap_sign():
