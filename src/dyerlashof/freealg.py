@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, check_budget, check_odd_prime, is_int
-from .dlalgebra import excess, word_degree
+from .dlalgebra import word_degree
 from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter
 
@@ -131,96 +131,81 @@ def qclass_str(qc: QClass) -> str:
 
 def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
                      strict: bool):
-    """Admissible words over one generator, built innermost letter first;
-    strict picks e(I)+eps_1 > n (Q(S)) vs e(I) >= n (free module).
+    """The admissible words I with Q^I x of degree <= max_degree and charge
+    p^len(I) <= max_charge, x = gen, as (I, degree of Q^I x) pairs, shorter
+    words first; strict picks e(I) + eps_1 > n (Q(S)), otherwise e(I) >= n
+    (the free module).
 
-    Returns the words; each node costs a unit of the meter (errors.Meter).
+    The words of each length are those of the length before with one letter
+    (eps, s2) prepended.  Over a word J with Q^J x of degree m the new word
+    I has e(I) + eps = s2 - m + n, so strict asks s2 > m and weak s2 >= m +
+    eps; admissibility asks s2 <= p s2' - 2 eps' against J's first letter.
+    A word is built only if it or a longer word over it may still have
+    degree <= max_degree, so for max_degree >= 0 every word built is
+    returned.  Each word built, the empty one included, costs a unit of the
+    meter (errors.Meter).
     """
     p = ctx.p
     n = gen.n
     par = ctx.chi.parity(gen.g)
-    if max_charge < 1:
-        return []
     levels = 0
-    c = 1
-    while c * p <= max_charge:
+    c = p
+    while c <= max_charge:
         c *= p
         levels += 1
-    out = []
 
-    def minimum_final(m, remaining):
-        # smallest internal degree reachable after `remaining` more letters:
-        # from m >= 1 degrees never decrease; from m <= 0 the worst chain
-        # multiplies by p and subtracts 1 at each level
-        if m >= 1:
-            return m
-        for _ in range(remaining):
+    def reaches(m, rem):
+        # may a word of degree m end at degree <= max_degree after rem more
+        # letters?  From m >= 1 degrees never fall; from m <= 0 a letter
+        # takes m to p * m - 1 at the least, and once m <= max_degree so it
+        # stays, so the walk stops there: at most log_p |max_degree| steps
+        while max_degree < m <= 0 and rem:
             m = p * m - 1
-        return m
+            rem -= 1
+        return m <= max_degree
 
-    def visit(word, m):
-        # word is the already-built inner part (outermost letter first);
-        # m = n + word_degree(word) is the degree of Q^word x.
-        meter.charge("enumeration")
-        if m <= max_degree:
-            if strict:
-                ok = excess(word, p) + word[0][0] > n if word else True
-            else:
-                ok = excess(word, p) >= n if word else True
-            if ok:
-                out.append(word)
-
-    def children(word, m):
-        # visit the viable one-letter extensions of word in search order,
-        # lazily, yielding those that may be extended further
-        lo = m if not strict else m + 1
-        if (lo - par) % 2:
-            lo += 1
-        if word:
-            e_h, s2_h = word[0]
-            hi_adm = p * s2_h - 2 * e_h
-        else:
-            hi_adm = None
-        rem = levels - len(word) - 1
-        for eps in (0, 1):
-            # degree viability: the smallest reachable final degree from
-            # m' = m + s2(p-1) - eps must not exceed max_degree
-            hi = (max(max_degree, -1) - m + eps) // (p - 1)
-            if hi_adm is not None:
-                hi = min(hi, hi_adm)
-            s2 = lo
-            while s2 <= hi:
-                m2 = m + s2 * (p - 1) - eps
-                if minimum_final(m2, rem) <= max_degree:
-                    child = ((eps, s2),) + word
-                    visit(child, m2)
-                    if rem:
-                        yield child, m2
-                s2 += 2
-
-    # depth first, each word visited before its extensions: one lazy frame
-    # per level, so a word of any length needs no interpreter stack.  The
-    # for loop resumes the top frame where it left off; break descends.
+    if max_charge < 1 or not reaches(n, levels):
+        return []
+    top = max(max_degree, -1)
     with Meter(ctx.budget) as meter:
-        visit((), n)
-        stack = [children((), n)] if levels else []
-        while stack:
-            for word, m in stack[-1]:
-                stack.append(children(word, m))
-                break
-            else:
-                stack.pop()
+        meter.charge("enumeration")
+        level = [((), n)]
+        out = level[:] if n <= max_degree else []
+        for rem in range(levels - 1, -1, -1):
+            longer = []
+            for word, m in level:
+                for eps in (0, 1):
+                    lo = m + (1 if strict else eps)
+                    lo += (lo - par) % 2
+                    # the new degree m + s2 (p - 1) - eps is at most top: a
+                    # degree >= 0 never falls again, one in
+                    # (max_degree, -1] may
+                    hi = (top - m + eps) // (p - 1)
+                    if word:
+                        hi = min(hi, p * word[0][1] - 2 * word[0][0])
+                    for s2 in range(lo, hi + 1, 2):
+                        m2 = m + s2 * (p - 1) - eps
+                        if reaches(m2, rem):
+                            meter.charge("enumeration")
+                            pair = (((eps, s2),) + word, m2)
+                            if m2 <= max_degree:
+                                out.append(pair)
+                            longer.append(pair)
+            level = longer
+    return out
+
+
+def _qset_degrees(gens, max_degree, max_charge, ctx: Context):
+    """enumerate_qset's classes, each paired with its internal degree."""
+    out = [(QClass(gen, word), n) for gen in gens
+           for word, n in _enumerate_words(ctx, gen, max_degree, max_charge, True)]
+    out.sort(key=lambda row: row[0].sort_key())
     return out
 
 
 def enumerate_qset(gens, max_degree, max_charge, ctx: Context):
     """All Q^I x with internal degree <= max_degree and charge <= max_charge."""
-    out = []
-    for gen in gens:
-        for word in _enumerate_words(ctx, gen, max_degree, max_charge, True):
-            out.append(QClass(gen, word))
-    out.sort(key=QClass.sort_key)
-    return out
+    return [qc for qc, _ in _qset_degrees(gens, max_degree, max_charge, ctx)]
 
 
 def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context,
@@ -235,10 +220,8 @@ def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context,
         max_charge = ctx.max_charge
     if max_charge is None:
         raise ContractError("enumerate_dmodule_basis needs a charge cutoff")
-    out = [
-        QClass(gen, word)
-        for word in _enumerate_words(ctx, gen, max_degree, max_charge, False)
-    ]
+    out = [QClass(gen, word)
+           for word, _ in _enumerate_words(ctx, gen, max_degree, max_charge, False)]
     out.sort(key=QClass.sort_key)
     return out
 
@@ -257,8 +240,9 @@ class _ClassData(dict):
         self.ctx = ctx
 
     def __missing__(self, qc: QClass):
-        g, n = qc.bidegree(self.ctx)
-        par = self.ctx.chi.parity(g)
+        # chi(p^l g) = chi(g), p being odd
+        n = qc.degree(self.ctx.p)
+        par = self.ctx.chi.parity(qc.gen.g)
         data = self[qc] = (qc.sort_key(), n, par, (n + par) % 2 == 0)
         return data
 
@@ -440,16 +424,17 @@ def _candidates(ctx: Context, max_degree, max_charge):
     """
     nu = _degree_floor(ctx)
     room = max_degree - nu * max_charge
+    # chi(p^l g) = chi(g), p being odd, so a class has its generator's parity
+    parity = {gen.name: ctx.chi.parity(gen.g) for gen in ctx.generators}
     cands = []
-    for qc in enumerate_qset(ctx.generators, max_degree - nu * (max_charge - 1),
-                             max_charge, ctx):
-        g, n = qc.bidegree(ctx)
-        k = qc.charge(ctx.p)
-        top = max_charge // k if (n + ctx.chi.parity(g)) % 2 == 0 else 1
+    for qc, n in _qset_degrees(ctx.generators, max_degree - nu * (max_charge - 1),
+                               max_charge, ctx):
+        k = ctx.p ** len(qc.word)
+        top = max_charge // k if (n + parity[qc.gen.name]) % 2 == 0 else 1
         if n > nu * k:
             top = max(0, min(top, room // (n - nu * k)))
         charge("candidate powers", top)
-        cands.append((qc, g, n, k, range(1, top + 1)))
+        cands.append((qc, ctx.group.scale(k, qc.gen.g), n, k, range(1, top + 1)))
     return nu, cands
 
 
@@ -457,7 +442,8 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
     """List (factors, g, n, charge) for every monomial with n <= max_degree
     and charge <= max_charge, the empty one included if max_charge >= 0.
 
-    Each node of the word search and of the walk costs a unit of the meter.
+    Each word the search builds and each node of the walk costs a unit of
+    the meter.
     """
     with Meter(ctx.budget) as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
@@ -515,10 +501,10 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     charge, and their charges add up to at most max_charge - c, so the
     finished monomial has degree at least that bound.  No monomial is built.
 
-    Each word node, and each entry of the partial table before a class is
-    multiplied in, costs a meter unit.  A class reads each entry of the
-    table it leaves at most once, so its work is bounded by the units the
-    next class is charged (or by the finished table, for the last class).
+    Each word the search builds, and each entry of the partial table before
+    a class is multiplied in, costs a meter unit.  A class reads each entry
+    of the table it leaves at most once, so its work is bounded by the units
+    the next class is charged (or by the finished table, for the last class).
     """
     with Meter(ctx.budget) as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)

@@ -90,3 +90,23 @@ def test_in_process_workloads_run_and_check(monkeypatch):
             # a renamed cache would read as 0 entries
             assert all(n > 0 for n in workload.cache_sizes), workload.cache_sizes
     assert sorted(ran) == ["action", "rewrite", "table"]
+
+
+def test_cli_workload_runs_and_checks(monkeypatch, tmp_path):
+    # the cli workload at its tiny size: one child per command kind, started
+    # as the bench starts them, so a change that breaks a CLI child fails
+    # here and not only in a bench run.  The children import the package
+    # from <root>/src and write their context files under <root>
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    (tmp_path / "src").symlink_to(BENCH.parent / "src")
+    workload = workloads.Cli(101, tiny=True, root=str(tmp_path))
+    kinds = []
+    try:
+        for op in workload.ops():
+            workload.check(op, workload.run(op))
+            kinds.append(op[0])
+    finally:
+        workload.close()
+    assert sorted(kinds) == ["act", "basis", "dmodule", "example", "invalid", "rewrite",
+                             "table"]

@@ -18,6 +18,7 @@ from dyerlashof.freealg import (
     QClass,
     _candidates,
     _enumerate_monomials,
+    _enumerate_words,
     _merge_monomials,
     basis,
     enumerate_dmodule_basis,
@@ -109,37 +110,58 @@ def test_qset_subset_of_dmodule():
             assert qs <= dm
 
 
-def test_qset_brute_force_cross_check():
-    # independent route: generate every parity-correct word over a wide index
-    # window, filter by the definition, compare
-    for ctx, n in ((SIGN, 0), (UNTW, 0), (make_ctx(3, 1, gens=(("z", (1,), -2),)), -2),
-                   (make_ctx(5, -1), 0)):
-        p = ctx.p
-        gen = ctx.generators[0]
-        par = ctx.chi.parity(gen.g)
-        max_deg, max_chg = 8, p * p
-        got = words(enumerate_qset([gen], max_deg, max_chg, ctx))
-        window = [
-            (e, s2)
-            for e in (0, 1)
-            for s2 in range(-12 - par, 14, 2)
-        ]
-        brute = {()} if n <= max_deg else set()
-        for length in (1, 2):
-            if p**length > max_chg:
-                continue
-            for w in itertools.product(window, repeat=length):
-                if not admissible(w, p, 1 if par == 0 else -1):
-                    continue
-                if excess(w, p) + w[0][0] <= n:
-                    continue
-                if n + word_degree(w, p) > max_deg:
-                    continue
-                brute.add(w)
-        assert got == brute, (ctx.p, n)
-        # the window is wide enough that nothing escapes it
-        for w in got:
-            assert all(-13 <= s2 <= 13 for _, s2 in w)
+def test_word_search_matches_brute_force():
+    # an independent route: filter every word of length <= 3 with indices in
+    # [-13, 13] by the definition (admissible, indices of the generator's
+    # parity, the excess condition of each mode, degree), and compare with
+    # the search on that window; every word the search returns, in the
+    # window or not, must pass the same checks and carry its degree.  For
+    # max_degree >= 0 the search builds only the words it returns, one
+    # meter unit each
+    letters = [(e, s2) for e in (0, 1) for s2 in range(-13, 14)]
+    short = [w for length in range(4) for w in itertools.product(letters, repeat=length)]
+    group = GradingGroup(1)
+    cases = 0
+    for p in (3, 5, 7):
+        for twist in (1, -1):
+            ctx = Context(p, group, TwistCharacter(group, (twist,)), [])
+            pool = [w for w in short if admissible(w, p, twist)]
+            for n, strict in itertools.product(range(-3, 4), (True, False)):
+                gen = Generator("x", (1,), n)
+
+                def valid(w):
+                    if not w:
+                        return True
+                    e = excess(w, p)
+                    return e + w[0][0] > n if strict else e >= n
+
+                brute = [(w, n + word_degree(w, p)) for w in pool if valid(w)]
+                for max_charge in (0, 1, p - 1, p, p * p, p**3):
+                    for max_degree in range(-30, 26):
+                        with Meter(10**6) as meter:
+                            got = _enumerate_words(ctx, gen, max_degree, max_charge, strict)
+                        for w, d in got:
+                            assert admissible(w, p, twist) and valid(w)
+                            assert p ** len(w) <= max_charge
+                            assert d == n + word_degree(w, p) <= max_degree
+                        assert {(w, d) for w, d in got if all(abs(s2) <= 13 for _, s2 in w)} \
+                            == {(w, d) for w, d in brute
+                                if d <= max_degree and p ** len(w) <= max_charge}
+                        if max_degree >= 0:
+                            assert meter.counts.get("enumeration", 0) == len(got)
+                        cases += 1
+    assert cases == 3 * 2 * 7 * 2 * 6 * 56
+
+
+def test_word_search_charges_one_unit_per_word():
+    # the weak search builds no word it then rejects: at the degree-0
+    # untwisted x it returns Q^{0}^k x for k <= 2095, and βQ^{0} over them
+    # (excess -1, with no admissible extension) is never built
+    ctx = make_ctx(3, 1)
+    with Meter(ctx.budget) as meter:
+        got = enumerate_dmodule_basis(ctx.generator("x"), 0, ctx, max_charge=10**1000)
+    assert len(got) == 2096 and got[-1].word == ((0, 0),) * 2095
+    assert meter.counts == {"enumeration": 2096}
 
 
 def test_degree_law():
@@ -544,6 +566,24 @@ def test_candidates_keep_one_row_per_class():
     assert meter.counts == {"enumeration": 1, "candidate powers": 100_000}
     assert len(cands) == 1
     assert peak < 1_000_000
+
+
+def test_class_rows_match_bidegrees():
+    # the rows and the class data take each class's degree from the word
+    # search and its parity from its generator (chi(p^l g) = chi(g), p
+    # odd); rebuilt here from bidegrees on every class of two contexts
+    for ctx, max_degree, max_charge in ((zz2_context(), 6, 9), (negative_context(), 2, 15)):
+        nu, cands = _candidates(ctx, max_degree, max_charge)
+        room = max_degree - nu * max_charge
+        assert len(cands) > 20
+        for qc, g, n, k, powers in cands:
+            assert (g, n) == qc.bidegree(ctx) and k == qc.charge(ctx.p)
+            top = max_charge // k if repeatable(qc, ctx) else 1
+            if n > nu * k:
+                top = max(0, min(top, room // (n - nu * k)))
+            assert powers == range(1, top + 1)
+            assert ctx.class_data[qc] == (qc.sort_key(), n, ctx.chi.parity(g),
+                                          repeatable(qc, ctx))
 
 
 def enumeration_digest(ctx, max_degree, max_charge):
