@@ -9,7 +9,6 @@ combinatorial convention: binom(m, n) = 0 unless 0 <= n <= m.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ContractError, ValidationError
@@ -31,16 +30,16 @@ def check_budget(budget) -> int:
     return budget
 
 
-@lru_cache(maxsize=64, typed=True)
 def check_odd_prime(p: int) -> None:
     """Raise ValidationError unless p is an odd prime <= P_MAX; the cap keeps
-    the trial division under 25,000 steps.  Only a p that passes is cached,
-    and typed, so 3.0 or True never finds the entry of an int."""
+    the trial division under 25,000 steps."""
     if not is_int(p):
         raise ValidationError(f"p must be an integer, got {p!r}")
     if p > P_MAX:
         raise ValidationError(f"p must be at most 2^31 - 1 = {P_MAX}, got {p}")
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+    # 9 is the least odd composite, so 3, 5 and 7 skip the trial division
+    if p < 3 or p % 2 == 0 or p > 8 and any(
+            p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
         raise ValidationError(f"p must be an odd prime, got {p}")
 
 

@@ -93,8 +93,12 @@ class DLElement:
         self.twist = twist
         self.terms: dict[tuple[Entry, ...], int] = {}
         if terms:
-            for entries, c in dict(terms).items():
-                entries = tuple(tuple(e) for e in entries)
+            for word, c in dict(terms).items():
+                try:  # a word, or one of its letters, that is not a sequence
+                    entries = tuple(tuple(e) for e in word)
+                except TypeError:
+                    raise ValidationError(
+                        f"bad operation word {word!r}; want a sequence of (eps, 2s)") from None
                 for e in entries:
                     _check_entry(e)
                 c %= p

@@ -140,10 +140,12 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
     (eps, s2) prepended.  Over a word J with Q^J x of degree m the new word
     I has e(I) + eps = s2 - m + n, so strict asks s2 > m and weak s2 >= m +
     eps; admissibility asks s2 <= p s2' - 2 eps' against J's first letter.
-    A word is built only if it or a longer word over it may still have
-    degree <= max_degree, so for max_degree >= 0 every word built is
-    returned.  Each word built, the empty one included, costs a unit of the
-    meter (errors.Meter).
+    By the degree law rem more letters take a degree m to at least p^rem m,
+    so a word that may still take rem letters can end at degree <=
+    max_degree only if m <= max_degree, or m <= 0 and p^rem m <=
+    max_degree: only if m <= cap(rem).  Each level's letters are capped so,
+    and for max_degree >= 0 every word built is returned.  Each word built,
+    the empty one included, costs a unit of the meter (errors.Meter).
     """
     p = ctx.p
     n = gen.n
@@ -154,43 +156,33 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
         c *= p
         levels += 1
 
-    def reaches(m, rem):
-        # may a word of degree m end at degree <= max_degree after rem more
-        # letters?  From m >= 1 degrees never fall; from m <= 0 a letter
-        # takes m to p * m - 1 at the least, and once m <= max_degree so it
-        # stays, so the walk stops there: at most log_p |max_degree| steps
-        while max_degree < m <= 0 and rem:
-            m = p * m - 1
-            rem -= 1
-        return m <= max_degree
+    def cap(rem):
+        return max_degree if max_degree >= 0 else max_degree // p**rem
 
-    if max_charge < 1 or not reaches(n, levels):
+    if max_charge < 1 or n > cap(levels):
         return []
-    top = max(max_degree, -1)
     with Meter(ctx.budget) as meter:
         meter.charge("enumeration")
         level = [((), n)]
         out = level[:] if n <= max_degree else []
         for rem in range(levels - 1, -1, -1):
+            top = cap(rem)
             longer = []
             for word, m in level:
                 for eps in (0, 1):
                     lo = m + (1 if strict else eps)
                     lo += (lo - par) % 2
-                    # the new degree m + s2 (p - 1) - eps is at most top: a
-                    # degree >= 0 never falls again, one in
-                    # (max_degree, -1] may
+                    # the new degree m + s2 (p - 1) - eps is at most top
                     hi = (top - m + eps) // (p - 1)
                     if word:
                         hi = min(hi, p * word[0][1] - 2 * word[0][0])
                     for s2 in range(lo, hi + 1, 2):
                         m2 = m + s2 * (p - 1) - eps
-                        if reaches(m2, rem):
-                            meter.charge("enumeration")
-                            pair = (((eps, s2),) + word, m2)
-                            if m2 <= max_degree:
-                                out.append(pair)
-                            longer.append(pair)
+                        meter.charge("enumeration")
+                        pair = (((eps, s2),) + word, m2)
+                        if m2 <= max_degree:
+                            out.append(pair)
+                        longer.append(pair)
             level = longer
     return out
 
@@ -208,18 +200,12 @@ def enumerate_qset(gens, max_degree, max_charge, ctx: Context):
     return [qc for qc, _ in _qset_degrees(gens, max_degree, max_charge, ctx)]
 
 
-def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context,
-                            max_charge=None):
+def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge):
     """Free-module basis over one generator: admissible words with e(I) >= n.
 
     In degrees n <= 0 the weak inequality admits words of every length (for
-    instance iterated Q^{n/2}), so a charge cutoff is always applied; when
-    max_charge is None the context's cutoff is used.
+    instance iterated Q^{n/2}), so the charge cutoff is required.
     """
-    if max_charge is None:
-        max_charge = ctx.max_charge
-    if max_charge is None:
-        raise ContractError("enumerate_dmodule_basis needs a charge cutoff")
     out = [QClass(gen, word)
            for word, _ in _enumerate_words(ctx, gen, max_degree, max_charge, False)]
     out.sort(key=QClass.sort_key)

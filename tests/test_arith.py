@@ -100,7 +100,7 @@ def test_check_odd_prime():
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValidationError):
             check_odd_prime(bad)
-    # a p that passes is cached; an equal float must not find its entry
+    # a float equal to a prime that passes is still refused
     for bad in (3.0, 5.0):
         with pytest.raises(ValidationError):
             check_odd_prime(bad)

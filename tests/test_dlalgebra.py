@@ -72,7 +72,8 @@ def test_dlelement_validates_its_input():
     for p in (4, 9, 2, 1, True, 3.0):
         with pytest.raises(ValidationError):
             DLElement(p, 1, {((0, 4), (0, 0)): 1})
-    bad = (((True, 4), (0, 0)), ((0, 4), (0, False)), ((0, 4.0),), ((2, 4),), ((0,),))
+    bad = (((True, 4), (0, 0)), ((0, 4), (0, False)), ((0, 4.0),), ((2, 4),), ((0,),),
+           (5,), ((0, 1), 5), 5)  # a letter or a word that is not a sequence
     for word in bad:
         with pytest.raises(ValidationError):
             DLElement(3, 1, {word: 1})

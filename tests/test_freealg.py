@@ -95,10 +95,7 @@ def test_dmodule_weak_inequality():
 
 def test_dmodule_needs_charge_cutoff():
     x = UNTW.generator("x")
-    with pytest.raises(ContractError):
-        enumerate_dmodule_basis(x, 10, UNTW)
-    ctx = make_ctx(3, 1, max_charge=9)
-    got = enumerate_dmodule_basis(ctx.generator("x"), 0, ctx)
+    got = enumerate_dmodule_basis(x, 0, UNTW, max_charge=9)
     assert words(got) == {(), ((0, 0),), ((0, 0), (0, 0))}
 
 
@@ -117,11 +114,13 @@ def test_word_search_matches_brute_force():
     # the search on that window; every word the search returns, in the
     # window or not, must pass the same checks and carry its degree.  For
     # max_degree >= 0 the search builds only the words it returns, one
-    # meter unit each
+    # meter unit each; below 0 it builds at least every tail of them (the
+    # words the returned ones grow from), and its units are pinned
     letters = [(e, s2) for e in (0, 1) for s2 in range(-13, 14)]
     short = [w for length in range(4) for w in itertools.product(letters, repeat=length)]
     group = GradingGroup(1)
     cases = 0
+    units = Counter()
     for p in (3, 5, 7):
         for twist in (1, -1):
             ctx = Context(p, group, TwistCharacter(group, (twist,)), [])
@@ -147,10 +146,19 @@ def test_word_search_matches_brute_force():
                         assert {(w, d) for w, d in got if all(abs(s2) <= 13 for _, s2 in w)} \
                             == {(w, d) for w, d in brute
                                 if d <= max_degree and p ** len(w) <= max_charge}
+                        spent = meter.counts.get("enumeration", 0)
                         if max_degree >= 0:
-                            assert meter.counts.get("enumeration", 0) == len(got)
+                            assert spent == len(got)
+                        else:
+                            tails = {w[i:] for w, _ in got for i in range(len(w) + 1)}
+                            assert spent >= len(tails)
+                            units["tails"] += len(tails)
+                            if n == 0:  # no class over x has degree < 0
+                                assert got == [] and spent == 0
+                        units["below 0" if max_degree < 0 else "from 0"] += spent
                         cases += 1
     assert cases == 3 * 2 * 7 * 2 * 6 * 56
+    assert units == {"from 0": 60976, "below 0": 18249, "tails": 16817}
 
 
 def test_word_search_charges_one_unit_per_word():

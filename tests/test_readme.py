@@ -57,3 +57,19 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
         assert (code, capsys.readouterr().out.splitlines()) == (0, shown), argv
         ran += 1
     assert ran == 5
+
+
+def test_readme_meter_table_names_every_stage():
+    # the stages of the `| stage | units |` table are exactly those the
+    # package charges, so a new or renamed stage cannot ship undocumented
+    text = README.read_text(encoding="utf-8")
+    (table,) = re.findall(r"^\| stage \| units \|\n((?:\|.*\n)+)", text, re.M)
+    documented = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    src = README.parent / "src"
+    charged = {
+        stage
+        for path in src.rglob("*.py")
+        for stage in re.findall(r"\bcharge\(\s*\"([^\"]+)\"", path.read_text(encoding="utf-8"))
+    }
+    assert len(documented) == len(set(documented)) == 9
+    assert set(documented) == charged
