@@ -5,16 +5,22 @@ On a single factor Q^I x the new letter is prepended and the word rewritten
 to admissible form; each admissible output word J is then read off against
 the degree n of x: strict excess (e(J) + eps_1 > n) gives a basis class,
 equality with eps_1 = 0 gives a p-th power (iterated, per the excess lemma),
-anything else is zero.  On longer monomials the Cartan formula splits off
-the first factor and applies the rest of the operation to the remaining
-factors; the suffixes of the monomial are summed shortest first, so each
-finds the next shorter one cached.  The range of each inner sum is finite
+anything else is zero.  A longer monomial is read as a product of blocks:
+a run of r equal factors y (sorted, so adjacent) gives one block y^(p^i)
+per unit of the base-p digit i of r, and any other factor is a block of
+its own.  On a block y^q with q > 1 the Cartan formula collapses to the
+Frobenius identity, beta^eps Q^s(y^q) = (Q^{s/q} y)^q when eps = 0 and q
+divides 2s, and 0 otherwise.  The Cartan formula splits off the first
+block and applies the rest of the operation to the remaining ones; the
+block suffixes of the monomial are summed shortest first, so each finds
+the next shorter one cached.  The range of each inner sum is finite
 because operations below the degree of their argument vanish.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import is_
 
 from .arith import HalfInt, half_factorial, is_int
 from .dlalgebra import DLElement, excess, lower_from_upper, normalize
@@ -103,68 +109,142 @@ def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
     return hit
 
 
+def _apply_power(eps, s2, qc: QClass, q: int, ctx: Context) -> AlgebraElement:
+    """beta^eps Q^{s2/2} on the block qc^q, q a power of p, by the Frobenius
+    identity: zero unless eps = 0 and q divides s2, else (Q^{s2/2q} qc)^q.
+
+    The identity follows from the Cartan formula.  A class that repeats in
+    a monomial is repeatable, n = par mod 2, and repeatable classes commute
+    with sign +1, since n n' + par par' = 2 n n' = 0 mod 2.  Each term of
+    Q^j qc is a class over qc's generator, or a p^t-th power of one, and
+    has the degree of Q^j qc, n(qc) mod 2; p being odd, each factor then
+    has degree n(qc) and parity par(qc) mod 2, so it is repeatable and
+    commutes with the factors of every other term.  The Cartan sum over q
+    equal factors is then the q-th power of a sum of commuting terms: its
+    cross terms carry multinomials q!/(k_1! ... k_r!) = 0 mod p, and c^q = c
+    in F_p, so (sum c_m m)^q = sum c_m m^q.  A non-repeatable factor would
+    square to zero, but none occurs, so m^q is m with each factor repeated
+    q times, still sorted, with sign +1."""
+    if q == 1:
+        return _apply_qclass(eps, s2, qc, ctx)
+    if eps or s2 % q:
+        return AlgebraElement.zero(ctx)
+    return AlgebraElement(ctx, {
+        tuple([f for f in m for _ in range(q)]): c
+        for m, c in _apply_qclass(0, s2 // q, qc, ctx).terms.items()
+    })
+
+
+def _blocks(mono, p):
+    """The first factor and size of each block of a monomial: a run of r
+    equal factors gives, largest first, one block of p^i factors per unit
+    of the base-p digit i of r."""
+    starts, qs = [], []
+    start = 0
+    for _, run in groupby(mono):
+        r, q = len([*run]), 1
+        while q * p <= r:
+            q *= p
+        while r:
+            for _ in range(r // q):
+                starts.append(start)
+                qs.append(q)
+                start += q
+            r %= q
+            q //= p
+    return starts, qs
+
+
 def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     if not mono:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
         return AlgebraElement.zero(ctx)
-    _, ns, pars, _ = zip(*[ctx.class_data[qc] for qc in mono])
+    rows = [ctx.class_data[qc] for qc in mono]
+    _, ns, pars, _ = zip(*rows)
     if (s2 - sum(pars)) % 2:
         return AlgebraElement.zero(ctx)
     if len(mono) == 1:
         return _apply_qclass(eps, s2, mono[0], ctx)
-    # each suffix mono[i:]'s degree and parity, by a running sum from the
-    # right (parities are summed, not reduced), and each factor's least
-    # index: its degree rounded up to its parity
+    p = ctx.p
+    # the Cartan formula is summed over blocks: a run of p or more equal
+    # factors (sorted, so adjacent) is split into p^i-th powers, each acted
+    # on by _apply_power; any other factor is a block of its own.  Equal
+    # classes share one class-data row, so a run is found by identity
+    if any(map(is_, rows, rows[p - 1:])):
+        starts, qs = _blocks(mono, p)
+        if len(qs) == 1:
+            return _apply_power(eps, s2, mono[0], qs[0], ctx)
+        ns = [q * ns[i] for i, q in zip(starts, qs)]
+        pars = [q * pars[i] for i, q in zip(starts, qs)]
+    else:
+        starts, qs = range(len(mono)), [1] * len(mono)
+    # each block suffix's degree and parity, by a running sum from the
+    # right (parities are summed, not reduced), and each block's least
+    # index: its degree rounded up to its parity.  A block of q > 1 factors
+    # takes only indices q j2 with j2 of its parity, a step of 2q
     n_suf = [*accumulate(reversed(ns), initial=0)][::-1]
     par_suf = [*accumulate(reversed(pars), initial=0)][::-1]
     los = [n + (n - par) % 2 for n, par in zip(ns, pars)]
-    half = (ctx.p - 1) // 2
+    half = (p - 1) // 2
     cache = ctx.__dict__.setdefault("_monomial_op_cache", {})
 
     def pieces(i, e, t):
-        # the pieces of beta^e Q^{t/2} on mono[i:], counted without
-        # len(range), which overflows on a huge index
-        return max(0, (t - n_suf[i + 1] - los[i]) // 2 + 1) * (e + 1)
+        # the pieces of beta^e Q^{t/2} on blocks i.., counted without
+        # len(range), which overflows on a huge index; the identity leaves
+        # no beta on a block of q > 1
+        q = qs[i]
+        return max(0, (t - n_suf[i + 1] - los[i]) // (2 * q) + 1) * (e + 1 if q == 1 else 1)
 
     def cartan(i, e, t, rest):
-        # beta^e Q^{t/2} on mono[i:], splitting off its first factor f;
-        # rest[(e2, k2)] is beta^e2 Q^{k2/2} on mono[i+1:].  The formula is
-        # stated through the shuffle (g+h)^p -> g^p + h^p, which scales the
-        # twisted line by the braiding form p(p-1)/2 times
-        f = mono[i]
+        # beta^e Q^{t/2} on blocks i.., splitting off block i, f^q;
+        # rest[(e2, k2)] is beta^e2 Q^{k2/2} on blocks i+1...  The formula
+        # is stated through the shuffle (g+h)^p -> g^p + h^p, which scales
+        # the twisted line by the braiding form p(p-1)/2 times
+        f, q = mono[starts[i]], qs[i]
         shuffle = -1 if (pars[i] * par_suf[i + 1] * half) % 2 else 1
         out = []
-        for j2 in range(los[i], t - n_suf[i + 1] + 1, 2):
+        for j2 in range(los[i], t - n_suf[i + 1] + 1, 2 * q):
             k2 = t - j2
             sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
-            for e1 in range(e, -1, -1):
-                # beta^e acts as beta^e1 on f and beta^e2 on the rest; a
-                # beta moved past f picks up (-1)^n(f)
+            for e1 in range(e, -1, -1) if q == 1 else (0,):
+                # beta^e acts as beta^e1 on f^q and beta^e2 on the rest; a
+                # beta moved past f^q picks up (-1)^n(f^q)
                 e2 = e - e1
-                piece = multiply(_apply_qclass(e1, j2, f, ctx), rest[(e2, k2)], ctx)
+                piece = multiply(_apply_power(e1, j2, f, q, ctx), rest[(e2, k2)], ctx)
                 out.append((-sign if e2 * ns[i] % 2 else sign, piece))
         return _combine(ctx, out)
 
-    # The top reads mono[1:] at each of its splits, each of those reads
-    # mono[2:], and so on: suffix mono[i:] is read at every e <= eps and
-    # every t of its parity from its degree up to s2 minus the least indices
-    # of the factors before it.  No such list is longer than the top's
-    # pieces, which are charged first.  The suffixes are summed shortest
-    # first, each from the one before, through the per-context cache.
-    charge("Cartan pieces", pieces(0, eps, s2))
+    # The top reads blocks 1.. at each of its splits, each of those reads
+    # blocks 2.., and so on: the suffix from block i is read at every e <=
+    # eps and every t from its degree up to s2 minus the least indices of
+    # the blocks before it, in steps of twice the least block size among
+    # them.  The top's pieces are charged first.  With blocks of one factor
+    # no list is longer; a list that is, after a block of q > 1, is charged
+    # its excess before it is read.  The suffixes are summed shortest first,
+    # each from the one before, through the per-context cache, keyed by
+    # factor-tuple suffix.
+    paid = pieces(0, eps, s2)
+    charge("Cartan pieces", paid)
     tops = [s2 - c for c in accumulate(los, initial=0)]
+    steps = [*accumulate([2 * q for q in qs], min)]
+    last = len(qs) - 1
     rest = {}
-    for i in range(len(mono) - 1, 0, -1):
-        suffix, least = mono[i:], n_suf[i] + (n_suf[i] - par_suf[i]) % 2
+    for i in range(last, 0, -1):
+        suffix, least = mono[starts[i]:], n_suf[i] + (n_suf[i] - par_suf[i]) % 2
+        step = steps[i - 1]
+        size = max(0, (tops[i] - least) // step + 1) * (eps + 1)
+        if size > paid:
+            charge("Cartan pieces", size - paid)
+            paid = size
         here = {}
-        for t in range(least, tops[i] + 1, 2):
+        for t in range(least + (tops[i] - least) % step, tops[i] + 1, step):
             for e in range(eps + 1):
                 key = (e, t, suffix)
                 hit = cache.get(key)
                 if hit is None:
-                    if i == len(mono) - 1:
-                        hit = _apply_qclass(e, t, mono[i], ctx)
+                    if i == last:
+                        hit = _apply_power(e, t, mono[starts[i]], qs[i], ctx)
                     else:
                         charge("Cartan pieces", pieces(i, e, t))
                         hit = cartan(i, e, t, rest)

@@ -157,11 +157,21 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
         if kind != "num" or _int(value) < 1:
             cur.fail("a positive exponent")
         cur.take()
-        power = AlgebraElement.unit(ctx)
-        for _ in range(int(value)):
-            # one unit per multiply and per factor it walks in the partial power
-            charge("power", 1 + sum(len(m) for m in power.terms))
-            power = multiply(power, base, ctx)
+
+        def times(a, b):
+            # one unit per multiply and per factor it walks in its left operand
+            charge("power", 1 + sum(len(m) for m in a.terms))
+            return multiply(a, b, ctx)
+
+        # by repeated squaring: base^(2^i) is taken for each bit i of exp
+        exp, power = int(value), AlgebraElement.unit(ctx)
+        while True:
+            if exp & 1:
+                power = times(power, base)
+            exp >>= 1
+            if not exp:
+                break
+            base = times(base, base)
         base = power
     return base
 

@@ -22,6 +22,7 @@ from dyerlashof.freealg import (
 )
 from dyerlashof.grading import GradingGroup, TwistCharacter
 from dyerlashof.action import apply_op, apply_word, suspension_check
+from sign_oracle import apply_op_by_factors
 
 
 def make_ctx(p=3, twist=-1, gens=(("x", (1,), 0),)):
@@ -287,6 +288,51 @@ def test_adem_coherence_on_products(kind, p, case):
     assert not bad, f"{len(bad)} of {len(monos)} products break the law"
 
 
+# contexts with runs of p or more equal factors: acceptance 7's, the Z^2
+# context and p = 5 at charge 25
+_BLOCK_CONTEXTS = {
+    "sign-p3": lambda: point_context(3, -1, 12, 9),
+    "untw-p3": lambda: point_context(3, 1, 12, 9),
+    "z2-p3": lambda: _z2_context(3, 6, 6),
+    "sign-p5": lambda: point_context(5, -1, 15, 25),
+    "untw-p5": lambda: point_context(5, 1, 10, 25),
+}
+
+
+def _check_against_factor_walk(ctx, monos):
+    # apply_op acts on a run of p^k equal factors as one block, by the
+    # Frobenius identity; the oracle walks the Cartan formula factor by factor
+    bad = []
+    for mono in monos:
+        elt = AlgebraElement.from_monomial(ctx, mono)
+        n = monomial_bidegree(mono, ctx)[1]
+        for eps in (0, 1):
+            for s2 in range(n - 3, n + 13):
+                if apply_op(eps, H(s2), elt, ctx) != apply_op_by_factors(eps, s2, elt, ctx):
+                    bad.append((mono, eps, s2))
+    return bad
+
+
+@pytest.mark.parametrize("name", _BLOCK_CONTEXTS)
+def test_blocks_match_the_factor_walk(name):
+    ctx = _BLOCK_CONTEXTS[name]()
+    monos = [m for m, _, _, _ in _enumerate_monomials(ctx, ctx.max_degree, ctx.max_charge)
+             if len(set(m)) < len(m)]
+    assert any(len(m) >= ctx.p and m[0] == m[ctx.p - 1] for m in monos)
+    assert not _check_against_factor_walk(ctx, monos)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("twist", [1, -1])
+def test_prime_power_blocks_match_the_factor_walk(p, twist):
+    # x^(p^k), k <= 2, with x repeatable: of even degree when untwisted and
+    # of odd degree when twisted
+    for n in ((-2, 0, 2) if twist == 1 else (-1, 1, 3)):
+        ctx = make_ctx(p, twist, gens=(("x", (1,), n),))
+        x = QClass(ctx.generator("x"), ())
+        assert not _check_against_factor_walk(ctx, [(x,) * p**k for k in range(3)])
+
+
 def test_linearity():
     a = single(SIGN, "x", (0, 1))
     b = single(SIGN, "x", (1, 1))
@@ -310,17 +356,23 @@ def test_apply_word_matches_nested():
 
 def test_long_product_needs_no_stack():
     # the Cartan step loops over the suffixes of a product, so its depth does
-    # not grow with the number of factors: Q^0 x^120 = x^360 (x untwisted in
-    # degree 0) within 100 frames of the caller
-    ctx = make_ctx(3, 1)
-    x = QClass(ctx.generator("x"), ())
+    # not grow with the number of blocks: Q^0 x^120 = x^360 (x untwisted in
+    # degree 0; four blocks, x^81 * x^27 * x^9 * x^3) and Q^0 on the squares
+    # of 60 such generators, 120 blocks of one factor, within 100 frames of
+    # the caller
+    ctx = make_ctx(3, 1, gens=[(f"x{i:02}", (1,), 0) for i in range(60)])
+    x = QClass(ctx.generator("x00"), ())
+    squares = tuple(QClass(gen, ()) for gen in ctx.generators for _ in range(2))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
         got = apply_op(0, 0, AlgebraElement.from_monomial(ctx, (x,) * 120), ctx)
+        got_squares = apply_op(0, 0, AlgebraElement.from_monomial(ctx, squares), ctx)
     finally:
         sys.setrecursionlimit(limit)
     assert got == AlgebraElement.from_monomial(ctx, (x,) * 360)
+    sixths = tuple(f for f in squares[::2] for _ in range(6))
+    assert got_squares == AlgebraElement.from_monomial(ctx, sixths)
 
 
 def test_suspension_check_passes():

@@ -153,6 +153,23 @@ def test_long_power_exits_3(untw0_ctx_file, capsys, power):
     assert time.perf_counter() - start < 2.0
 
 
+def test_long_power_parses_by_squaring(untw0_ctx_file, capsys):
+    # x^3000 takes 11 squarings and 6 multiplies into the power, and Q^0 on
+    # it acts on the blocks x^2187, x^729, x^81 and x^3
+    code, out, _ = run_cli(["act", "--context", untw0_ctx_file, "Q^{0}", "x^3000"], capsys)
+    assert (code, out) == (0, "x^9000\n")
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_frobenius_powers(untw0_ctx_file, capsys, k):
+    # Q^{p^k} on x^(p^k) is (Q^1 x)^(p^k), one block, x untwisted in degree 0
+    q = 3**k
+    start = time.perf_counter()
+    code, out, _ = run_cli(["act", "--context", untw0_ctx_file, f"Q^{{{q}}}", f"x^{q}"], capsys)
+    assert (code, out) == (0, f"Q^{{1}} x^{q}\n")
+    assert time.perf_counter() - start < 5.0
+
+
 def test_product_draws_on_the_budget(tmp_path, capsys):
     # multiply and the Cartan step draw on the command's budget: at the
     # default this action prints 50,784 terms after about 8 s
@@ -165,6 +182,21 @@ def test_product_draws_on_the_budget(tmp_path, capsys):
                               "Q^{3} x * Q^{4} y * Q^{5} z * x * y * z"], capsys)
     assert (code, out) == (3, "") and "budget of 50 units" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_suffix_after_a_block_draws_on_the_budget(tmp_path, capsys):
+    # Q^{5000000} on x^81 * y * z has 61,728 pieces at the top, where x^81
+    # takes only indices divisible by 81, but the suffix z is read at each
+    # of about 5 * 10^6 indices: that excess is charged before it is read
+    cfg = dict(_SIGN_CFG, chi=[1], generators=[
+        {"name": name, "g": [1], "n": n} for name, n in (("x", 2), ("y", 4), ("z", 6))])
+    path = tmp_path / "xyz.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code, out, err = run_cli(["act", "--context", str(path), "Q^{5000000}", "x^81 * y * z"],
+                             capsys)
+    assert (code, out) == (3, "") and err.startswith("error: Cartan pieces")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_family_row_draws_on_the_budget(capsys):
@@ -182,18 +214,27 @@ def test_family_row_draws_on_the_budget(capsys):
 @pytest.mark.parametrize("argv", [
     ["rewrite", "Q^{%s} Q^{0}" % ("9" * 52), "--budget", "5"],
     ["act", "--context", "CTX", "Q^{%s}" % ("9" * 52), "x * x"],
-    ["act", "--context", "CTX", "Q^{%s}" % ("9" * 52), "x * x * x"],
+    ["act", "--context", "CTX", "Q^{%s}" % ("9" * 52), "x * x * x * x"],
     ["table", "--context", "CTX0", "--max-degree", "0", "--max-charge", "1" + "0" * 600],
 ])
 def test_huge_indices_exit_3(untw_ctx_file, untw0_ctx_file, capsys, argv):
     # an Adem family row, a Cartan sum of about 10^52 terms or the 10^600
     # powers of a degree-0 x is counted, not listed, so the meter refuses it
-    # at once
+    # at once; x^4 splits as x^3 * x, so its sum still has 3.3 * 10^51 terms
     files = {"CTX": untw_ctx_file, "CTX0": untw0_ctx_file}
     argv = [files.get(a, a) for a in argv]
     start = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "") and err.startswith("error:")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_huge_index_on_a_cube(untw_ctx_file, capsys):
+    # x^3 is one block: Q^s(x^3) = (Q^{s/3} x)^3, with no Cartan sum
+    start = time.perf_counter()
+    code, out, _ = run_cli(["act", "--context", untw_ctx_file, "Q^{%s}" % ("9" * 52),
+                            "x * x * x"], capsys)
+    assert (code, out) == (0, "Q^{%s} x^3\n" % ("3" * 52))
     assert time.perf_counter() - start < 0.5
 
 
