@@ -31,8 +31,9 @@ from .freealg import (
     Generator,
     QClass,
     _combine,
+    _from_sums,
+    _multiply_into,
     enumerate_qset,
-    multiply,
 )
 
 
@@ -57,8 +58,8 @@ def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
 
 def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
     if reps > 1 and not ctx.class_data[qc][3]:
-        return AlgebraElement.zero(ctx)
-    return AlgebraElement.from_monomial(ctx, (qc,) * reps)
+        return AlgebraElement._trusted(ctx, {})
+    return AlgebraElement._trusted(ctx, {(qc,) * reps: 1})
 
 
 def _realize_word(word, gen, ctx: Context) -> AlgebraElement:
@@ -75,7 +76,7 @@ def _realize_word(word, gen, ctx: Context) -> AlgebraElement:
             t += 1
             word = word[1:]
             continue
-        return AlgebraElement.zero(ctx)
+        return AlgebraElement._trusted(ctx, {})
     return _power_monomial(QClass(gen, word), ctx.p**t, ctx)
 
 
@@ -101,6 +102,12 @@ def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
 
 
 def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
+    # an index of the wrong parity gives zero: read off here, from the class
+    # data, and not cached, since a cache lookup and store would each hash
+    # the whole monomial
+    data = ctx.class_data
+    if (s2 - sum([data[qc][2] for qc in mono])) % 2:
+        return AlgebraElement._trusted(ctx, {})
     cache = ctx.__dict__.setdefault("_monomial_op_cache", {})
     key = (eps, s2, mono)
     hit = cache.get(key)
@@ -128,8 +135,8 @@ def _apply_power(eps, s2, qc: QClass, q: int, ctx: Context) -> AlgebraElement:
     if q == 1:
         return _apply_qclass(eps, s2, qc, ctx)
     if eps or s2 % q:
-        return AlgebraElement.zero(ctx)
-    return AlgebraElement(ctx, {
+        return AlgebraElement._trusted(ctx, {})
+    return AlgebraElement._trusted(ctx, {
         tuple([f for f in m for _ in range(q)]): c
         for m, c in _apply_qclass(0, s2 // q, qc, ctx).terms.items()
     })
@@ -159,11 +166,10 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     if not mono:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
-        return AlgebraElement.zero(ctx)
+        return AlgebraElement._trusted(ctx, {})
+    # _apply_monomial has read off an index of the wrong parity
     rows = [ctx.class_data[qc] for qc in mono]
     _, ns, pars, _ = zip(*rows)
-    if (s2 - sum(pars)) % 2:
-        return AlgebraElement.zero(ctx)
     if len(mono) == 1:
         return _apply_qclass(eps, s2, mono[0], ctx)
     p = ctx.p
@@ -203,7 +209,7 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
         # the twisted line by the braiding form p(p-1)/2 times
         f, q = mono[starts[i]], qs[i]
         shuffle = -1 if (pars[i] * par_suf[i + 1] * half) % 2 else 1
-        out = []
+        out = {}  # every piece is multiplied into this one dict
         for j2 in range(los[i], t - n_suf[i + 1] + 1, 2 * q):
             k2 = t - j2
             sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
@@ -211,9 +217,9 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
                 # beta^e acts as beta^e1 on f^q and beta^e2 on the rest; a
                 # beta moved past f^q picks up (-1)^n(f^q)
                 e2 = e - e1
-                piece = multiply(_apply_power(e1, j2, f, q, ctx), rest[(e2, k2)], ctx)
-                out.append((-sign if e2 * ns[i] % 2 else sign, piece))
-        return _combine(ctx, out)
+                _multiply_into(out, _apply_power(e1, j2, f, q, ctx), rest[(e2, k2)],
+                               -sign if e2 * ns[i] % 2 else sign, ctx)
+        return _from_sums(ctx, out)
 
     # The top reads blocks 1.. at each of its splits, each of those reads
     # blocks 2.., and so on: the suffix from block i is read at every e <=

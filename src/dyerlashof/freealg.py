@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, check_budget, check_odd_prime, is_int
-from .dlalgebra import word_degree
+from .dlalgebra import _check_entry, _find_inadmissible, excess, word_degree
 from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter
 
@@ -266,16 +266,78 @@ def monomial_str(factors) -> str:
 def element_str(elt: AlgebraElement) -> str:
     if elt.is_zero:
         return "0"
+    data = elt.ctx.class_data
     parts = []
-    for mono in sorted(elt.terms, key=lambda fs: tuple(q.sort_key() for q in fs)):
+    for mono in sorted(elt.terms, key=lambda fs: tuple([data[q][0] for q in fs])):
         c = elt.terms[mono]
         s = monomial_str(mono)
         parts.append(s if c == 1 else f"{c} * {s}")
     return " + ".join(parts)
 
 
+def _check_class(qc, ctx: Context) -> None:
+    """Raise ValidationError unless qc is a class of Q(S) over a generator
+    of ctx: an admissible word of letters (eps, s2) with s2 of the
+    generator's twist parity and e(I) + eps_1 > n."""
+    if not isinstance(qc, QClass):
+        raise ValidationError(f"a monomial factor must be a QClass, got {qc!r}")
+    if qc.gen not in ctx.generators:
+        raise ValidationError(f"{qc.gen!r} is not a generator of the context")
+    if not isinstance(qc.word, tuple):
+        raise ValidationError(f"bad operation word {qc.word!r}; want a tuple of (eps, 2s)")
+    for letter in qc.word:
+        _check_entry(letter)
+    par = ctx.chi.parity(qc.gen.g)
+    if any(s2 % 2 != par for _, s2 in qc.word):
+        raise ValidationError(f"{qclass_str(qc)}: an index of the wrong parity for its twist")
+    if _find_inadmissible(qc.word, ctx.p, "leftmost") is not None:
+        raise ValidationError(f"{qclass_str(qc)} is not admissible")
+    if qc.word and excess(qc.word, ctx.p) + qc.word[0][0] <= qc.gen.n:
+        raise ValidationError(f"{qclass_str(qc)} has excess too low for a class of Q(S)")
+
+
+def _check_monomial(mono, ctx: Context) -> tuple:
+    """mono as a tuple, or ValidationError unless it is a monomial of ctx:
+    classes of Q(S) in sort-key order, a class repeated only if repeatable."""
+    if isinstance(mono, QClass):
+        raise ContractError(f"a monomial is a tuple of QClasses, got {mono!r}")
+    try:
+        mono = tuple(mono)
+    except TypeError:
+        raise ValidationError(f"a monomial is a tuple of QClasses, got {mono!r}") from None
+    data = ctx.class_data
+    last = None
+    for qc in mono:
+        try:  # the table holds only classes checked or built here
+            row = data.get(qc) if isinstance(qc, QClass) else None
+        except TypeError:  # a field that cannot be hashed: _check_class says which
+            row = None
+        if row is None:
+            _check_class(qc, ctx)
+            row = data[qc]
+        if last is not None and (row[0] < last[0] or row is last and not row[3]):
+            raise ValidationError(
+                f"{monomial_str(mono)} is not a monomial: factors must be in sort-key "
+                "order, and only a repeatable class may repeat")
+        last = row
+    return mono
+
+
+def _check_coeff(c, ctx: Context) -> int:
+    """c mod p, or ValidationError unless c is an int (a bool is not)."""
+    if not is_int(c):
+        raise ValidationError(f"a coefficient must be an integer, got {c!r}")
+    return c % ctx.p
+
+
+_new = object.__new__  # AlgebraElement._trusted skips __init__ and its checks
+
+
 class AlgebraElement:
-    """A linear combination of sorted monomials in QClasses."""
+    """A linear combination of sorted monomials in QClasses.
+
+    The constructor checks its input (see _check_monomial; coefficients are
+    ints, reduced mod p).  The engine builds its results with _trusted."""
 
     __slots__ = ("ctx", "terms")
 
@@ -284,23 +346,32 @@ class AlgebraElement:
         self.terms: dict[tuple[QClass, ...], int] = {}
         if terms:
             for mono, c in dict(terms).items():
-                if isinstance(mono, QClass):
-                    raise ContractError(f"a monomial is a tuple of QClasses, got {mono!r}")
-                c %= ctx.p
+                mono, c = _check_monomial(mono, ctx), _check_coeff(c, ctx)
                 if c:
-                    self.terms[tuple(mono)] = c
+                    self.terms[mono] = c
+
+    @staticmethod
+    def _trusted(ctx: Context, terms: dict) -> "AlgebraElement":
+        """Wrap terms the engine built itself: sorted monomials of ctx,
+        coefficients reduced and nonzero.  Nothing is checked or copied."""
+        elt = _new(AlgebraElement)
+        elt.ctx = ctx
+        elt.terms = terms
+        return elt
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx)
+        return cls._trusted(ctx, {})
 
     @classmethod
     def unit(cls, ctx):
-        return cls(ctx, {(): 1})
+        return cls._trusted(ctx, {(): 1})
 
     @classmethod
     def from_monomial(cls, ctx, factors, coeff=1):
-        return cls(ctx, {factors: coeff})
+        # checked before it is hashed, which a factor may not allow
+        mono, c = _check_monomial(factors, ctx), _check_coeff(coeff, ctx)
+        return cls._trusted(ctx, {mono: c} if c else {})
 
     @property
     def is_zero(self):
@@ -312,7 +383,7 @@ class AlgebraElement:
         return _combine(self.ctx, ((1, self), (1, other)))
 
     def scale(self, k: int) -> "AlgebraElement":
-        return _combine(self.ctx, ((k, self),))
+        return _combine(self.ctx, ((_check_coeff(k, self.ctx), self),))
 
     def __eq__(self, other):
         return (
@@ -325,14 +396,31 @@ class AlgebraElement:
         return f"AlgebraElement({element_str(self)})"
 
 
+def _from_sums(ctx: Context, out: dict) -> AlgebraElement:
+    """Wrap a dict of sums already reduced mod p, dropping the zeros."""
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return AlgebraElement._trusted(ctx, out)
+
+
 def _combine(ctx: Context, pairs) -> AlgebraElement:
-    """The sum of c * x over (c, x) pairs, built in one new dict and reduced
-    mod p once; the x are only read, so cached elements may be passed."""
-    out: dict = {}
+    """The sum of c * x over (c, x) pairs, in one new dict with coefficients
+    reduced mod p as they are added.  If the first pair has c = 1 mod p,
+    the dict starts as a copy of its x.terms, which keeps each key's stored
+    hash, so a lone (1, x) hashes nothing.  The x are only read, so cached
+    elements may be passed, and the result never shares a dict with them."""
+    p = ctx.p
+    out = None
     for c, x in pairs:
+        if out is None:
+            if c % p == 1:
+                out = x.terms.copy()
+                continue
+            out = {}
+        get = out.get
         for m, d in x.terms.items():
-            out[m] = out.get(m, 0) + c * d
-    return AlgebraElement(ctx, out)
+            out[m] = (get(m, 0) + c * d) % p
+    return _from_sums(ctx, {} if out is None else out)
 
 
 def _merge_monomials(a, b, ctx: Context):
@@ -367,19 +455,29 @@ def _merge_monomials(a, b, ctx: Context):
     return tuple(out), -1 if e % 2 else 1
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraElement:
-    if a.ctx is not ctx or b.ctx is not ctx:
-        raise ContractError("elements belong to different contexts")
+def _multiply_into(out: dict, a: AlgebraElement, b: AlgebraElement, k: int,
+                   ctx: Context) -> None:
+    """Add k * a * b into out, its coefficients kept reduced mod p (a sum
+    may reach 0 and stay).  Each pair of terms costs a unit of "multiply"."""
     charge("multiply", len(a.terms) * len(b.terms))
-    out: dict = {}
+    p = ctx.p
+    get = out.get
     for ma, ca in a.terms.items():
+        kca = k * ca
         for mb, cb in b.terms.items():
             merged = _merge_monomials(ma, mb, ctx)
-            if merged is None:
-                continue
-            mono, sign = merged
-            out[mono] = out.get(mono, 0) + sign * ca * cb
-    return AlgebraElement(ctx, out)
+            if merged is not None:
+                mono, sign = merged
+                out[mono] = (get(mono, 0) + sign * kca * cb) % p
+
+
+def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraElement:
+    """The product a * b, by _multiply_into into a new dict."""
+    if a.ctx is not ctx or b.ctx is not ctx:
+        raise ContractError("elements belong to different contexts")
+    out: dict = {}
+    _multiply_into(out, a, b, 1, ctx)
+    return _from_sums(ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +564,8 @@ def basis(bidegree, max_charge, ctx: Context):
         for factors, g, n, _ in _enumerate_monomials(ctx, n_want, max_charge)
         if g == g_want and n == n_want
     ]
-    out.sort(key=lambda fs: tuple(q.sort_key() for q in fs))
+    data = ctx.class_data
+    out.sort(key=lambda fs: tuple([data[q][0] for q in fs]))
     return out
 
 

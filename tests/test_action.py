@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from dyerlashof.appcalc import point_context
 from dyerlashof.arith import HalfInt
-from dyerlashof.dlalgebra import adem_expand
+from dyerlashof.dlalgebra import _family_row, adem_expand
 from dyerlashof.errors import ContractError, Meter
 from dyerlashof.freealg import (
     AlgebraElement,
@@ -342,6 +343,16 @@ def test_linearity():
     assert got == want
 
 
+def test_results_share_no_dict_with_the_caches():
+    # the action caches its pieces; a caller that changes a result it was
+    # handed changes nothing the next call reads
+    xy = AlgebraElement.from_monomial(UNTW, (QClass(UNTW.generator("x"), ()),) * 2)
+    for eps, s in ((0, 0), (0, 2), (1, 2), (0, 3)):
+        want = apply_op(eps, s, xy, UNTW)
+        apply_op(eps, s, xy, UNTW).terms.clear()
+        assert apply_op(eps, s, xy, UNTW) == want and not want.is_zero
+
+
 def test_apply_word_matches_nested():
     t = single(SIGN, "x")
     w = ((1, 3), (0, 1))
@@ -379,3 +390,39 @@ def test_suspension_check_passes():
     assert suspension_check(SIGN, max_degree=8, max_charge=3) == []
     assert suspension_check(UNTW, max_degree=8, max_charge=3) == []
     assert suspension_check(make_ctx(5, -1), max_degree=10, max_charge=5) == []
+
+
+# ---------------------------------------------------------------------------
+# the action kernel, pinned
+
+_KERNEL_SPECS = ((3, 1, 8, 9), (3, -1, 13, 9), (5, -1, 12, 25), (7, 1, 14, 49))
+
+
+def test_action_kernel_pinned():
+    """Every basis monomial of degree n >= 0 of four point contexts, eps 0
+    and 1, 2s - n from -3 to 12, in enumeration order from fresh caches: one
+    sha256 over each call's output terms (sorted by sort key) and its meter
+    counts.  Recorded before the Cartan step summed its pieces into one dict.
+    The Adem caches are cleared first: a miss charges the meter."""
+    adem_expand.cache_clear()
+    _family_row.cache_clear()
+    h = hashlib.sha256()
+    calls = 0
+    for spec in _KERNEL_SPECS:
+        ctx = point_context(*spec)
+        for mono, _, n, _ in _enumerate_monomials(ctx, spec[2], spec[3]):
+            if n < 0:
+                continue
+            elt = AlgebraElement.from_monomial(ctx, mono)
+            for eps in (0, 1):
+                for s2 in range(n - 3, n + 13):
+                    with Meter(10**9) as m:
+                        out = apply_op(eps, H(s2), elt, ctx)
+                    calls += 1
+                    terms = sorted(([q.sort_key() for q in mono], c)
+                                   for mono, c in out.terms.items())
+                    h.update(repr((terms, sorted(m.counts.items()))).encode())
+    assert calls == 8256
+    assert h.hexdigest() == (
+        "35f089a599ba2e3550852912387366ca14d1e1e0cdc40f6325f7578c04a23b1a"
+    )

@@ -7,7 +7,8 @@ from dyerlashof.appcalc import (
     sym_trivial_table,
 )
 from dyerlashof.errors import ContractError, ValidationError
-from dyerlashof.freealg import poincare_table
+from dyerlashof.freealg import Context, Generator, poincare_table
+from dyerlashof.grading import GradingGroup, TwistCharacter
 
 
 def dims(table):
@@ -94,6 +95,28 @@ def test_swan_oracles_below_2p(p):
         for k in range(2 * p):
             assert {n: d for (_, n, c), d in counted.items() if c == k} == want(k), (twist, k)
             assert {q: d for (c, q), d in listed.items() if c == k} == want(k), (twist, k)
+
+
+def _one_generator_table(p, twist, n, max_degree, max_charge):
+    group = GradingGroup(1)
+    ctx = Context(p, group, TwistCharacter(group, (twist,)), [Generator("x", (1,), n)])
+    return {(k, q): d for (_, q, k), d in poincare_table(ctx, max_degree, max_charge).items()}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_twist_shift_identity(p):
+    # The twisted point with x in degree n and the untwisted point with x in
+    # degree n + 1 have the same table once a class of charge k is shifted up
+    # k degrees: the map sending each letter s2 of charge p^j (counted from
+    # the inside) to s2 + p^j preserves admissibility, excess and
+    # repeatability, and so sends basis to basis.  It reads no Adem
+    # coefficient.
+    top, max_charge = (36 if p == 7 else 40), p * p
+    for n in range(-1, 3):
+        twisted = _one_generator_table(p, -1, n, top, max_charge)
+        untwisted = _one_generator_table(p, 1, n + 1, top + max_charge, max_charge)
+        shifted = {(k, q - k): d for (k, q), d in untwisted.items() if q - k <= top}
+        assert twisted and twisted == shifted, n
 
 
 def test_untwisted_stability():

@@ -479,6 +479,35 @@ def test_a_bare_qclass_is_not_a_monomial():
     assert AlgebraElement.from_monomial(SIGN, (xq,)).terms == {(xq,): 1}
 
 
+def test_algebra_element_checks_its_terms():
+    # the public constructor takes only monomials of its context with integer
+    # coefficients; the engine wraps its own results unchecked
+    ctx = point_context(3, 1, 10, 9)
+    x = QClass(ctx.generator("x"), ())
+    qx = QClass(x.gen, ((0, 2),))  # Q^{1} x, degree 4
+    bqx = QClass(x.gen, ((1, 2),))  # bQ^{1} x, degree 3: it squares to zero
+    y = QClass(Generator("y", (1,), 0), ())
+    for terms in ({(): 1.5}, {(): True}, {(qx, x): 1}, {("x",): 1}, {(y,): 1},
+                  {(bqx, bqx): 1}):
+        with pytest.raises(ValidationError):
+            AlgebraElement(ctx, terms)
+    assert AlgebraElement(ctx, {(x, qx): 4, (x, x, bqx): 3}).terms == {(x, qx): 1}
+
+
+def test_algebra_element_checks_each_class_is_in_the_qset():
+    ctx = point_context(3, -1, 10, 9)
+    gen = ctx.generator("x")
+    for word in (((0, 2),),  # an index of the wrong twist parity
+                 ((0, 5), (1, 1)),  # inadmissible: 5 > 3 * 1 - 2
+                 ((0, 1), (0, 1)),  # excess -1: Q^{1/2} below the degree of Q^{1/2} x
+                 ((0, -1),),  # below the generator's degree
+                 ((2, 1),), ((0, True),), [(0, 1)]):  # not a word
+        with pytest.raises(ValidationError):
+            AlgebraElement.from_monomial(ctx, (QClass(gen, word),))
+    ok = QClass(gen, ((1, 3), (0, 1)))
+    assert AlgebraElement.from_monomial(ctx, (ok,)).terms == {(ok,): 1}
+
+
 def test_basis_validates_bidegree():
     with pytest.raises(ValidationError):
         basis(((1, 2), 0), 9, SIGN)
