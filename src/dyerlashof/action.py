@@ -58,7 +58,7 @@ def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
 
 def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
     if reps > 1 and not ctx.class_data[qc][3]:
-        return AlgebraElement._trusted(ctx, {})
+        return AlgebraElement.zero(ctx)
     return AlgebraElement._trusted(ctx, {(qc,) * reps: 1})
 
 
@@ -76,7 +76,7 @@ def _realize_word(word, gen, ctx: Context) -> AlgebraElement:
             t += 1
             word = word[1:]
             continue
-        return AlgebraElement._trusted(ctx, {})
+        return AlgebraElement.zero(ctx)
     return _power_monomial(QClass(gen, word), ctx.p**t, ctx)
 
 
@@ -135,7 +135,7 @@ def _apply_power(eps, s2, qc: QClass, q: int, ctx: Context) -> AlgebraElement:
     if q == 1:
         return _apply_qclass(eps, s2, qc, ctx)
     if eps or s2 % q:
-        return AlgebraElement._trusted(ctx, {})
+        return AlgebraElement.zero(ctx)
     return AlgebraElement._trusted(ctx, {
         tuple([f for f in m for _ in range(q)]): c
         for m, c in _apply_qclass(0, s2 // q, qc, ctx).terms.items()
@@ -166,7 +166,7 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     if not mono:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
-        return AlgebraElement._trusted(ctx, {})
+        return AlgebraElement.zero(ctx)
     # _apply_monomial has read off an index of the wrong parity
     rows = [ctx.class_data[qc] for qc in mono]
     _, ns, pars, _ = zip(*rows)

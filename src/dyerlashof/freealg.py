@@ -281,8 +281,10 @@ def _check_class(qc, ctx: Context) -> None:
     generator's twist parity and e(I) + eps_1 > n."""
     if not isinstance(qc, QClass):
         raise ValidationError(f"a monomial factor must be a QClass, got {qc!r}")
-    if qc.gen not in ctx.generators:
-        raise ValidationError(f"{qc.gen!r} is not a generator of the context")
+    gen = qc.gen
+    if type(gen) is not Generator or gen not in ctx.generators or not (
+            is_int(gen.n) and type(gen.g) is tuple and all(map(is_int, gen.g))):
+        raise ValidationError(f"{gen!r} is not a generator of the context")
     if not isinstance(qc.word, tuple):
         raise ValidationError(f"bad operation word {qc.word!r}; want a tuple of (eps, 2s)")
     for letter in qc.word:
@@ -308,13 +310,8 @@ def _check_monomial(mono, ctx: Context) -> tuple:
     data = ctx.class_data
     last = None
     for qc in mono:
-        try:  # the table holds only classes checked or built here
-            row = data.get(qc) if isinstance(qc, QClass) else None
-        except TypeError:  # a field that cannot be hashed: _check_class says which
-            row = None
-        if row is None:
-            _check_class(qc, ctx)
-            row = data[qc]
+        _check_class(qc, ctx)
+        row = data[qc]
         if last is not None and (row[0] < last[0] or row is last and not row[3]):
             raise ValidationError(
                 f"{monomial_str(mono)} is not a monomial: factors must be in sort-key "

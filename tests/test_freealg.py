@@ -487,11 +487,18 @@ def test_algebra_element_checks_its_terms():
     qx = QClass(x.gen, ((0, 2),))  # Q^{1} x, degree 4
     bqx = QClass(x.gen, ((1, 2),))  # bQ^{1} x, degree 3: it squares to zero
     y = QClass(Generator("y", (1,), 0), ())
-    for terms in ({(): 1.5}, {(): True}, {(qx, x): 1}, {("x",): 1}, {(y,): 1},
-                  {(bqx, bqx): 1}):
+    # equal to x or bQ^{1} x, but over a plain tuple, a float degree or a
+    # bool letter: each is refused before and after the equal class is seen
+    look_alikes = (QClass(tuple(x.gen), ()), QClass(x.gen._replace(n=0.0), ()),
+                   QClass(x.gen, ((True, 2),)))
+    for terms in (*({(f,): 1} for f in look_alikes), {(): 1.5}, {(): True},
+                  {(qx, x): 1}, {("x",): 1}, {(y,): 1}, {(bqx, bqx): 1}):
         with pytest.raises(ValidationError):
             AlgebraElement(ctx, terms)
     assert AlgebraElement(ctx, {(x, qx): 4, (x, x, bqx): 3}).terms == {(x, qx): 1}
+    for f in look_alikes:
+        with pytest.raises(ValidationError):
+            AlgebraElement(ctx, {(f,): 1})
 
 
 def test_algebra_element_checks_each_class_is_in_the_qset():
