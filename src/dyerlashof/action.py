@@ -5,7 +5,7 @@ On a single factor Q^I x the new letter is prepended and the word rewritten
 to admissible form; each admissible output word J is then read off against
 the degree n of x: strict excess (e(J) + eps_1 > n) gives a basis class,
 equality with eps_1 = 0 gives a p-th power (iterated, per the excess lemma),
-anything else is zero.  A longer monomial is read as a product of blocks:
+anything else is zero.  Every monomial is read as a product of blocks:
 a run of r equal factors y (sorted, so adjacent) gives one block y^(p^i)
 per unit of the base-p digit i of r, and any other factor is a block of
 its own.  On a block y^q with q > 1 the Cartan formula collapses to the
@@ -20,7 +20,6 @@ because operations below the degree of their argument vanish.
 from __future__ import annotations
 
 from itertools import accumulate, groupby
-from operator import is_
 
 from .arith import HalfInt, half_factorial, is_int
 from .dlalgebra import DLElement, excess, lower_from_upper, normalize
@@ -56,15 +55,12 @@ def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
         ))
 
 
-def _power_monomial(qc: QClass, reps: int, ctx: Context) -> AlgebraElement:
-    if reps > 1 and not ctx.class_data[qc][3]:
-        return AlgebraElement.zero(ctx)
-    return AlgebraElement._trusted(ctx, {(qc,) * reps: 1})
-
-
-def _realize_word(word, gen, ctx: Context) -> AlgebraElement:
-    """Evaluate an admissible word on a generator: basis class, iterated
-    p-th power, or zero, by the excess trichotomy."""
+def _realize_word(word, gen, ctx: Context):
+    """The monomial an admissible word makes of a generator, by the excess
+    trichotomy: a basis class, or a p^t-th power of one with each stripped
+    outer letter (0, s2) of excess n, or None for zero.  No two words
+    realize to the same monomial: a stripped letter has s2 = n + the degree
+    of the rest of the word, so t and the class fix the word."""
     n = gen.n
     t = 0
     while word:
@@ -76,14 +72,17 @@ def _realize_word(word, gen, ctx: Context) -> AlgebraElement:
             t += 1
             word = word[1:]
             continue
-        return AlgebraElement.zero(ctx)
-    return _power_monomial(QClass(gen, word), ctx.p**t, ctx)
+        return None
+    qc = QClass(gen, word)
+    if t and not ctx.class_data[qc][3]:
+        return None
+    return (qc,) * ctx.p**t
 
 
 def _apply_qclass(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
     """Memoized one-factor action; results are never mutated, so sharing
     the cached elements across callers is safe."""
-    cache = ctx.__dict__.setdefault("_qclass_op_cache", {})
+    cache = ctx._qclass_op_cache
     key = (eps, s2, qc)
     hit = cache.get(key)
     if hit is None:
@@ -94,11 +93,16 @@ def _apply_qclass(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
 def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
     # normalize drops an index of the wrong parity.  Strict excess gives the
     # degree n of qc <= p*s2_1 - 2*eps_1, so for s2 <= n the word is admissible
-    # and normalize returns it free; _realize_word reads zero or the p-th power.
-    twist = ctx.chi.chi(qc.gen.g)
+    # and normalize returns it free; _realize_word reads zero or the p-th
+    # power, distinct for distinct words, so each coefficient is copied
+    twist = -1 if ctx.class_data[qc][2] else 1
     elt = DLElement._trusted(ctx.p, twist, {((eps, s2),) + qc.word: 1})
-    nf = normalize(elt)
-    return _combine(ctx, ((c, _realize_word(w, qc.gen, ctx)) for w, c in nf.terms.items()))
+    out = {}
+    for w, c in normalize(elt).terms.items():
+        mono = _realize_word(w, qc.gen, ctx)
+        if mono is not None:
+            out[mono] = c
+    return AlgebraElement._trusted(ctx, out)
 
 
 def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
@@ -108,7 +112,7 @@ def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
     data = ctx.class_data
     if (s2 - sum([data[qc][2] for qc in mono])) % 2:
         return AlgebraElement._trusted(ctx, {})
-    cache = ctx.__dict__.setdefault("_monomial_op_cache", {})
+    cache = ctx._monomial_op_cache
     key = (eps, s2, mono)
     hit = cache.get(key)
     if hit is None:
@@ -167,24 +171,17 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
         if eps == 0 and s2 == 0:
             return AlgebraElement.unit(ctx)
         return AlgebraElement.zero(ctx)
-    # _apply_monomial has read off an index of the wrong parity
-    rows = [ctx.class_data[qc] for qc in mono]
-    _, ns, pars, _ = zip(*rows)
-    if len(mono) == 1:
-        return _apply_qclass(eps, s2, mono[0], ctx)
+    # _apply_monomial has read off an index of the wrong parity.  The
+    # Cartan formula is summed over blocks: a run of p or more equal factors
+    # (sorted, so adjacent) is split into p^i-th powers, each acted on by
+    # _apply_power; any other factor is a block of its own
     p = ctx.p
-    # the Cartan formula is summed over blocks: a run of p or more equal
-    # factors (sorted, so adjacent) is split into p^i-th powers, each acted
-    # on by _apply_power; any other factor is a block of its own.  Equal
-    # classes share one class-data row, so a run is found by identity
-    if any(map(is_, rows, rows[p - 1:])):
-        starts, qs = _blocks(mono, p)
-        if len(qs) == 1:
-            return _apply_power(eps, s2, mono[0], qs[0], ctx)
-        ns = [q * ns[i] for i, q in zip(starts, qs)]
-        pars = [q * pars[i] for i, q in zip(starts, qs)]
-    else:
-        starts, qs = range(len(mono)), [1] * len(mono)
+    starts, qs = _blocks(mono, p)
+    if len(qs) == 1:
+        return _apply_power(eps, s2, mono[0], qs[0], ctx)
+    rows = [ctx.class_data[mono[i]] for i in starts]
+    ns = [q * row[1] for q, row in zip(qs, rows)]
+    pars = [q * row[2] for q, row in zip(qs, rows)]
     # each block suffix's degree and parity, by a running sum from the
     # right (parities are summed, not reduced), and each block's least
     # index: its degree rounded up to its parity.  A block of q > 1 factors
@@ -193,7 +190,7 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     par_suf = [*accumulate(reversed(pars), initial=0)][::-1]
     los = [n + (n - par) % 2 for n, par in zip(ns, pars)]
     half = (p - 1) // 2
-    cache = ctx.__dict__.setdefault("_monomial_op_cache", {})
+    cache = ctx._monomial_op_cache
 
     def pieces(i, e, t):
         # the pieces of beta^e Q^{t/2} on blocks i.., counted without

@@ -30,7 +30,6 @@ the strict inequality reappear in the algebra as p-th powers.
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
 from typing import NamedTuple
 
 from .arith import DEFAULT_BUDGET, check_budget, check_odd_prime, is_int
@@ -45,9 +44,16 @@ class Generator(NamedTuple):
     n: int
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValidationError unless value is an int (a bool is not)."""
+    if not is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 class Context:
     """A prime, a grading group with twist character, and named generators,
-    each Generator checked here, where it enters the engine."""
+    each Generator checked here, where it enters the engine.  It owns the
+    class_data table (_ClassData) and the two caches of action.py."""
 
     def __init__(self, p, group: GradingGroup, chi: TwistCharacter, generators,
                  max_degree=None, max_charge=None, budget: int = DEFAULT_BUDGET):
@@ -55,8 +61,8 @@ class Context:
         if chi.group != group:
             raise ValidationError("twist character is defined on a different group")
         for name, value in (("max_degree", max_degree), ("max_charge", max_charge)):
-            if value is not None and not is_int(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value is not None:
+                _check_int(name, value)
         check_budget(budget)
         self.p = p
         self.group = group
@@ -79,17 +85,15 @@ class Context:
         self.max_degree = max_degree
         self.max_charge = max_charge
         self.budget = budget
+        self.class_data = _ClassData(self)
+        self._qclass_op_cache = {}
+        self._monomial_op_cache = {}
 
     def generator(self, name: str) -> Generator:
         for gen in self.generators:
             if gen.name == name:
                 return gen
         raise ValidationError(f"no generator named {name!r}")
-
-    @cached_property
-    def class_data(self) -> "_ClassData":
-        """Each class's sort key, degree, parity and repeat flag here."""
-        return _ClassData(self)
 
 
 class QClass(NamedTuple):
@@ -196,7 +200,14 @@ def _qset_degrees(gens, max_degree, max_charge, ctx: Context):
 
 
 def enumerate_qset(gens, max_degree, max_charge, ctx: Context):
-    """All Q^I x with internal degree <= max_degree and charge <= max_charge."""
+    """All Q^I x with internal degree <= max_degree and charge <= max_charge,
+    x in gens, a list of generators of ctx."""
+    if not isinstance(gens, (list, tuple)):
+        raise ValidationError(f"gens must be a list of generators, got {gens!r}")
+    for gen in gens:
+        _check_generator(gen, ctx)
+    _check_int("max_degree", max_degree)
+    _check_int("max_charge", max_charge)
     return [qc for qc, _ in _qset_degrees(gens, max_degree, max_charge, ctx)]
 
 
@@ -206,6 +217,9 @@ def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge
     In degrees n <= 0 the weak inequality admits words of every length (for
     instance iterated Q^{n/2}), so the charge cutoff is required.
     """
+    _check_generator(gen, ctx)
+    _check_int("max_degree", max_degree)
+    _check_int("max_charge", max_charge)
     out = [QClass(gen, word)
            for word, _ in _enumerate_words(ctx, gen, max_degree, max_charge, False)]
     out.sort(key=QClass.sort_key)
@@ -275,16 +289,20 @@ def element_str(elt: AlgebraElement) -> str:
     return " + ".join(parts)
 
 
+def _check_generator(gen, ctx: Context) -> None:
+    """Raise ValidationError unless gen is one of ctx's generators."""
+    if type(gen) is not Generator or gen not in ctx.generators or not (
+            is_int(gen.n) and type(gen.g) is tuple and all(map(is_int, gen.g))):
+        raise ValidationError(f"{gen!r} is not a generator of the context")
+
+
 def _check_class(qc, ctx: Context) -> None:
     """Raise ValidationError unless qc is a class of Q(S) over a generator
     of ctx: an admissible word of letters (eps, s2) with s2 of the
     generator's twist parity and e(I) + eps_1 > n."""
     if not isinstance(qc, QClass):
         raise ValidationError(f"a monomial factor must be a QClass, got {qc!r}")
-    gen = qc.gen
-    if type(gen) is not Generator or gen not in ctx.generators or not (
-            is_int(gen.n) and type(gen.g) is tuple and all(map(is_int, gen.g))):
-        raise ValidationError(f"{gen!r} is not a generator of the context")
+    _check_generator(qc.gen, ctx)
     if not isinstance(qc.word, tuple):
         raise ValidationError(f"bad operation word {qc.word!r}; want a tuple of (eps, 2s)")
     for letter in qc.word:
@@ -555,7 +573,12 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
 
 def basis(bidegree, max_charge, ctx: Context):
     """All monomials of the requested bidegree (g, n) with charge <= max_charge."""
+    if not (isinstance(bidegree, (tuple, list)) and len(bidegree) == 2
+            and isinstance(bidegree[0], (tuple, list))):
+        raise ValidationError(f"a bidegree is a pair (g, n), g a tuple, got {bidegree!r}")
     g_want, n_want = ctx.group.validate(bidegree[0]), bidegree[1]
+    _check_int("degree", n_want)
+    _check_int("max_charge", max_charge)
     out = [
         factors
         for factors, g, n, _ in _enumerate_monomials(ctx, n_want, max_charge)
@@ -588,6 +611,8 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     of the table it leaves at most once, so its work is bounded by the units
     the next class is charged (or by the finished table, for the last class).
     """
+    _check_int("max_degree", max_degree)
+    _check_int("max_charge", max_charge)
     with Meter(ctx.budget) as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
         add = ctx.group.add

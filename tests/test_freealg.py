@@ -520,6 +520,33 @@ def test_basis_validates_bidegree():
         basis(((1, 2), 0), 9, SIGN)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ctx, x: poincare_table(ctx, 10.5, 9),
+    lambda ctx, x: poincare_table(ctx, True, 9),
+    lambda ctx, x: poincare_table(ctx, 10, 9.0),
+    lambda ctx, x: basis(((3,), 1.0), 9, ctx),
+    lambda ctx, x: basis(((3,), 0), None, ctx),
+    lambda ctx, x: basis(5, 9, ctx),
+    lambda ctx, x: basis(((3,),), 9, ctx),
+    lambda ctx, x: basis((3, 0), 9, ctx),
+    lambda ctx, x: enumerate_dmodule_basis(x, 10, ctx, None),
+    lambda ctx, x: enumerate_dmodule_basis(x._replace(n=1), 10, ctx, 9),
+    lambda ctx, x: enumerate_qset([Generator("y", (1, 2), 0)], 4, 9, ctx),
+    lambda ctx, x: enumerate_qset([x], 4, 9.0, ctx),
+    lambda ctx, x: enumerate_qset(5, 4, 9, ctx),
+], ids=["float-degree", "bool-degree", "float-charge", "basis-float-degree",
+        "basis-no-charge", "basis-not-a-pair", "basis-short-pair", "basis-int-grading",
+        "dmodule-no-charge", "dmodule-foreign-gen", "qset-foreign-gen",
+        "qset-float-charge", "qset-not-a-list"])
+def test_enumeration_checks_cutoffs_and_generators(call):
+    # library input to the public enumeration functions is checked as
+    # Context checks its own: a ValidationError, not a TypeError or a
+    # listing over a generator the context does not have
+    ctx = point_context(3, -1, 10, 9)
+    with pytest.raises(ValidationError):
+        call(ctx, ctx.generator("x"))
+
+
 def negative_context(**kw):
     """Z^2 + Z/3 with generators of degrees -2, 3 and -1."""
     group = GradingGroup(2, (3,))
