@@ -36,31 +36,28 @@ from .freealg import (
 )
 
 
-def _as_s2(s) -> int:
-    if isinstance(s, HalfInt) and is_int(s.twice):
-        return s.twice
-    if is_int(s):
-        return 2 * s
-    raise ContractError(f"operation index must be an int or HalfInt, got {s!r}")
-
-
-def apply_op(eps: int, s, e: AlgebraElement, ctx: Context) -> AlgebraElement:
-    """beta^eps Q^s acting on an algebra element; linear over F_p."""
+def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraElement:
+    """beta^eps Q^s acting on an element of ctx; linear over F_p."""
     if not is_int(eps) or eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
-    s2 = _as_s2(s)
+    if not (isinstance(s, HalfInt) and is_int(s.twice)):
+        raise ContractError(f"operation index must be a HalfInt, got {s!r}")
+    if not isinstance(e, AlgebraElement) or e.ctx is not ctx:
+        raise ContractError("elements belong to different contexts")
     with Meter(ctx.budget):
         return _combine(ctx, (
-            (c, _apply_monomial(eps, s2, mono, ctx)) for mono, c in e.terms.items()
+            (c, _apply_monomial(eps, s.twice, mono, ctx)) for mono, c in e.terms.items()
         ))
 
 
 def _realize_word(word, gen, ctx: Context):
     """The monomial an admissible word makes of a generator, by the excess
     trichotomy: a basis class, or a p^t-th power of one with each stripped
-    outer letter (0, s2) of excess n, or None for zero.  No two words
-    realize to the same monomial: a stripped letter has s2 = n + the degree
-    of the rest of the word, so t and the class fix the word."""
+    outer letter (0, s2) of excess n, or None for zero.  A stripped letter
+    has s2 = n + the degree of the rest of the word, so t and the class fix
+    the word, and no two words realize to the same monomial.  The power is
+    never zero: the last letter stripped has s2 = the degree of the class,
+    and s2 has the class's twist parity, so the class is repeatable."""
     n = gen.n
     t = 0
     while word:
@@ -73,10 +70,7 @@ def _realize_word(word, gen, ctx: Context):
             word = word[1:]
             continue
         return None
-    qc = QClass(gen, word)
-    if t and not ctx.class_data[qc][3]:
-        return None
-    return (qc,) * ctx.p**t
+    return (QClass(gen, word),) * ctx.p**t
 
 
 def _apply_qclass(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
@@ -296,7 +290,7 @@ def suspension_check(ctx: Context, max_degree, max_charge):
     up = _shifted(ctx)
     valid_up = {
         (qc.gen.name, qc.word)
-        for qc in enumerate_qset(up.generators, max_degree + 1, max_charge, up)
+        for qc in enumerate_qset(up, max_degree + 1, max_charge)
     }
 
     def single_terms(elt, n_floor, ctx_):
@@ -309,7 +303,7 @@ def suspension_check(ctx: Context, max_degree, max_charge):
                 keep[(mono[0].gen.name, w)] = c
         return keep
 
-    for qc in enumerate_qset(ctx.generators, max_degree, max_charge, ctx):
+    for qc in enumerate_qset(ctx, max_degree, max_charge):
         if (qc.gen.name, qc.word) not in valid_up:
             continue
         qc_up = QClass(up.generator(qc.gen.name), qc.word)

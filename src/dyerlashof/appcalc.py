@@ -43,23 +43,14 @@ def point_context(p, twist, max_degree, max_charge):
 
 
 def _column_rows(ctx, max_k, max_degree, label_fmt):
-    rows = {}
     grouped = {}
-    for factors, g, n, charge in _enumerate_monomials(ctx, max_degree, max_k):
-        if g != (charge,):
-            raise ContractError("grading and charge disagree on %r" % (factors,))
+    for factors, _, n, charge in _enumerate_monomials(ctx, max_degree, max_k):
         grouped.setdefault((charge, n), []).append(monomial_str(factors))
-    for (k, q), labels in grouped.items():
-        if q < 0:
-            continue
-        rows[(k, q)] = GroupHomologyRow(
-            label_fmt.format(k=k),
-            k,
-            q,
-            len(labels),
-            tuple(sorted(labels)),
-        )
-    return rows
+    return {
+        (k, q): GroupHomologyRow(label_fmt.format(k=k), k, q, len(labels),
+                                 tuple(sorted(labels)))
+        for (k, q), labels in grouped.items()
+    }
 
 
 def sym_sign_table(p, max_k, max_degree):

@@ -191,24 +191,20 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
     return out
 
 
-def _qset_degrees(gens, max_degree, max_charge, ctx: Context):
+def _qset_degrees(ctx: Context, max_degree, max_charge):
     """enumerate_qset's classes, each paired with its internal degree."""
-    out = [(QClass(gen, word), n) for gen in gens
+    out = [(QClass(gen, word), n) for gen in ctx.generators
            for word, n in _enumerate_words(ctx, gen, max_degree, max_charge, True)]
     out.sort(key=lambda row: row[0].sort_key())
     return out
 
 
-def enumerate_qset(gens, max_degree, max_charge, ctx: Context):
+def enumerate_qset(ctx: Context, max_degree, max_charge):
     """All Q^I x with internal degree <= max_degree and charge <= max_charge,
-    x in gens, a list of generators of ctx."""
-    if not isinstance(gens, (list, tuple)):
-        raise ValidationError(f"gens must be a list of generators, got {gens!r}")
-    for gen in gens:
-        _check_generator(gen, ctx)
+    x a generator of ctx."""
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
-    return [qc for qc, _ in _qset_degrees(gens, max_degree, max_charge, ctx)]
+    return [qc for qc, _ in _qset_degrees(ctx, max_degree, max_charge)]
 
 
 def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge):
@@ -383,10 +379,9 @@ class AlgebraElement:
         return cls._trusted(ctx, {(): 1})
 
     @classmethod
-    def from_monomial(cls, ctx, factors, coeff=1):
+    def from_monomial(cls, ctx, factors):
         # checked before it is hashed, which a factor may not allow
-        mono, c = _check_monomial(factors, ctx), _check_coeff(coeff, ctx)
-        return cls._trusted(ctx, {mono: c} if c else {})
+        return cls._trusted(ctx, {_check_monomial(factors, ctx): 1})
 
     @property
     def is_zero(self):
@@ -526,8 +521,7 @@ def _candidates(ctx: Context, max_degree, max_charge):
     # chi(p^l g) = chi(g), p being odd, so a class has its generator's parity
     parity = {gen.name: ctx.chi.parity(gen.g) for gen in ctx.generators}
     cands = []
-    for qc, n in _qset_degrees(ctx.generators, max_degree - nu * (max_charge - 1),
-                               max_charge, ctx):
+    for qc, n in _qset_degrees(ctx, max_degree - nu * (max_charge - 1), max_charge):
         k = ctx.p ** len(qc.word)
         top = max_charge // k if (n + parity[qc.gen.name]) % 2 == 0 else 1
         if n > nu * k:

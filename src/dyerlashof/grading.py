@@ -80,13 +80,11 @@ class GradingGroup(namedtuple("GradingGroup", "free_rank torsion_orders")):
 
 class TwistCharacter(namedtuple("TwistCharacter", "group signs")):
     """A homomorphism from the grading group to {+1, -1}, one sign per
-    coordinate (all +1 by default); the constructor checks its input."""
+    coordinate; the constructor checks its input."""
 
     __slots__ = ()
 
-    def __new__(cls, group: GradingGroup, signs=None):
-        if signs is None:
-            signs = (1,) * group.rank
+    def __new__(cls, group: GradingGroup, signs):
         if not isinstance(signs, (tuple, list)):
             raise ValidationError(f"signs must be a list, got {signs!r}")
         signs = tuple(signs)

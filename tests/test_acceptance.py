@@ -207,7 +207,7 @@ def test_acceptance_8_degree_law(capsys):
             for n in range(-2, 4):
                 ctx = Context(3, group, chi, [Generator("x", (1,), n)],
                               max_degree=10, max_charge=27)
-                classes = enumerate_qset(ctx.generators, 10, 27, ctx)
+                classes = enumerate_qset(ctx, 10, 27)
                 assert classes
                 for qc in classes:
                     d = qc.degree(3)

@@ -74,7 +74,7 @@ def test_one_factor_rules_cost_nothing():
 def test_power_rule():
     ctx = make_ctx(3, 1, gens=(("x", (1,), 2),))
     x = single(ctx, "x")
-    cube = apply_op(0, 1, x, ctx)
+    cube = apply_op(0, H(2), x, ctx)
     xq = QClass(ctx.generator("x"), ())
     assert cube == AlgebraElement.from_monomial(ctx, (xq, xq, xq))
 
@@ -88,7 +88,7 @@ def test_power_rule_kills_odd_square():
     assert p3 == AlgebraElement.from_monomial(SIGN, (f, f, f))
     x = single(UNTW, "x")  # degree 0, untwisted: Q^0 x = x^3
     xq = QClass(UNTW.generator("x"), ())
-    assert apply_op(0, 0, x, UNTW) == AlgebraElement.from_monomial(UNTW, (xq, xq, xq))
+    assert apply_op(0, H(0), x, UNTW) == AlgebraElement.from_monomial(UNTW, (xq, xq, xq))
 
 
 def test_basic_qset_building():
@@ -119,10 +119,24 @@ def test_bad_inputs():
         apply_op(2, H(1), AlgebraElement.unit(SIGN), SIGN)
     with pytest.raises(ContractError):
         apply_op(0, "1/2", AlgebraElement.unit(SIGN), SIGN)
-    # a bool is not an index or an eps, however it compares
-    for eps, s in ((0, True), (True, 0), (0, HalfInt(True)), (False, H(1))):
+    # a bool is not an index or an eps, however it compares; an index is a
+    # HalfInt, never a bare int
+    for eps, s in ((0, True), (True, H(0)), (0, HalfInt(True)), (False, H(1)), (0, 1)):
         with pytest.raises(ContractError):
             apply_op(eps, s, single(SIGN, "x"), SIGN)
+
+
+def test_element_of_another_context():
+    # x^3 in the untwisted context, but 0 in x's own: the action refuses an
+    # element of another context, as multiply and add do, and a non-element
+    sign, untw = point_context(3, -1, 10, 9), point_context(3, 1, 10, 9)
+    x = single(sign, "x")
+    for elt in (x, "x", None):
+        with pytest.raises(ContractError):
+            apply_op(0, H(0), elt, untw)
+        with pytest.raises(ContractError):
+            apply_word(((0, 0),), elt, untw)
+    assert apply_op(0, H(0), x, sign).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +148,7 @@ def test_cartan_product_vanishing():
     xy = AlgebraElement.from_monomial(
         ctx, (QClass(ctx.generator("x"), ()), QClass(ctx.generator("y"), ()))
     )
-    assert apply_op(0, 1, xy, ctx).is_zero
+    assert apply_op(0, H(2), xy, ctx).is_zero
 
 
 def test_cartan_power_consistency():
@@ -142,7 +156,7 @@ def test_cartan_power_consistency():
     ctx = make_ctx(3, 1, gens=(("x", (1,), 2), ("y", (1,), 2)))
     xq, yq = QClass(ctx.generator("x"), ()), QClass(ctx.generator("y"), ())
     xy = AlgebraElement.from_monomial(ctx, (xq, yq))
-    got = apply_op(0, 2, xy, ctx)
+    got = apply_op(0, H(4), xy, ctx)
     assert got == AlgebraElement.from_monomial(ctx, (xq,) * 3 + (yq,) * 3)
 
 
@@ -164,7 +178,7 @@ def test_cartan_beta_leibniz_small():
     # beta Q^1(xy), s2 = 2: j2 + k2 = 2 with both odd forces j2 = k2 = 1.
     # Sum sign (-1)^{2jk(p-1)} = -1, shuffle scalar for two twisted lines at
     # p = 3 another -1, so both terms come out positive.
-    got = apply_op(1, 1, xy, ctx)
+    got = apply_op(1, H(2), xy, ctx)
     bx = QClass(ctx.generator("x"), ((1, 1),))
     qx = QClass(ctx.generator("x"), ((0, 1),))
     by = QClass(ctx.generator("y"), ((1, 1),))
@@ -207,7 +221,7 @@ def test_adem_coherence():
     rng = random.Random(17)
     for ctx in (SIGN, UNTW, make_ctx(5, -1)):
         p = ctx.p
-        pool = enumerate_qset(ctx.generators, 10, p * p, ctx)
+        pool = enumerate_qset(ctx, 10, p * p)
         par = ctx.chi.parity(ctx.generators[0].g)
         for _ in range(40):
             qc = rng.choice(pool)
@@ -347,7 +361,7 @@ def test_results_share_no_dict_with_the_caches():
     # the action caches its pieces; a caller that changes a result it was
     # handed changes nothing the next call reads
     xy = AlgebraElement.from_monomial(UNTW, (QClass(UNTW.generator("x"), ()),) * 2)
-    for eps, s in ((0, 0), (0, 2), (1, 2), (0, 3)):
+    for eps, s in ((0, H(0)), (0, H(4)), (1, H(4)), (0, H(6))):
         want = apply_op(eps, s, xy, UNTW)
         apply_op(eps, s, xy, UNTW).terms.clear()
         assert apply_op(eps, s, xy, UNTW) == want and not want.is_zero
@@ -377,8 +391,8 @@ def test_long_product_needs_no_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        got = apply_op(0, 0, AlgebraElement.from_monomial(ctx, (x,) * 120), ctx)
-        got_squares = apply_op(0, 0, AlgebraElement.from_monomial(ctx, squares), ctx)
+        got = apply_op(0, H(0), AlgebraElement.from_monomial(ctx, (x,) * 120), ctx)
+        got_squares = apply_op(0, H(0), AlgebraElement.from_monomial(ctx, squares), ctx)
     finally:
         sys.setrecursionlimit(limit)
     assert got == AlgebraElement.from_monomial(ctx, (x,) * 360)
@@ -426,3 +440,24 @@ def test_action_kernel_pinned():
     assert h.hexdigest() == (
         "35f089a599ba2e3550852912387366ca14d1e1e0cdc40f6325f7578c04a23b1a"
     )
+
+
+def test_action_results_pass_the_boundary_checks():
+    """On the kernel's contexts every result rebuilt through the checking
+    constructor is unchanged: its monomials are sorted, repeat only
+    repeatable classes, and have only classes of Q(S) as factors.  The p = 7
+    context stops at charge 14: at 49, checking its terms of up to 343
+    factors takes ten times as long as the other three contexts together."""
+    calls = 0
+    for spec in _KERNEL_SPECS[:3] + ((7, 1, 14, 14),):
+        ctx = point_context(*spec)
+        for mono, _, n, _ in _enumerate_monomials(ctx, spec[2], spec[3]):
+            if n < 0:
+                continue
+            elt = AlgebraElement.from_monomial(ctx, mono)
+            for eps in (0, 1):
+                for s2 in range(n - 3, n + 13):
+                    out = apply_op(eps, H(s2), elt, ctx)
+                    assert AlgebraElement(ctx, out.terms) == out, (spec, mono, eps, s2)
+                    calls += 1
+    assert calls == 3904 + 992

@@ -61,16 +61,14 @@ def admissible(entries, p, twist):
 
 
 def test_qset_sign_preset_small():
-    x = SIGN.generator("x")
-    got = enumerate_qset([x], 2, 3, SIGN)
+    got = enumerate_qset(SIGN, 2, 3)
     assert words(got) == {(), ((1, 1),), ((0, 1),)}
     strs = sorted(qclass_str(qc) for qc in got)
     assert strs == ["Q^{1/2} x", "bQ^{1/2} x", "x"]
 
 
 def test_qset_excludes_excess_equality():
-    x = SIGN.generator("x")
-    got = words(enumerate_qset([x], 20, 9, SIGN))
+    got = words(enumerate_qset(SIGN, 20, 9))
     assert ((1, 1), (1, 1)) not in got  # e + eps_1 = 0, not > 0
     assert ((0, 1), (1, 1)) not in got  # e + eps_1 = 0 as well (p-th power)
     assert ((1, 3), (0, 1)) in got  # e + eps_1 = 2 > 0
@@ -79,7 +77,7 @@ def test_qset_excludes_excess_equality():
 
 
 def test_qset_empty_gens():
-    assert enumerate_qset([], 10, 9, SIGN) == []
+    assert enumerate_qset(make_ctx(3, -1, gens=()), 10, 9) == []
 
 
 def test_dmodule_weak_inequality():
@@ -102,7 +100,7 @@ def test_dmodule_needs_charge_cutoff():
 def test_qset_subset_of_dmodule():
     for ctx in (SIGN, UNTW, make_ctx(5, -1), make_ctx(5, 1, gens=(("y", (1,), 2),))):
         for gen in ctx.generators:
-            qs = words(enumerate_qset([gen], 15, ctx.p**2, ctx))
+            qs = words(qc for qc in enumerate_qset(ctx, 15, ctx.p**2) if qc.gen == gen)
             dm = words(enumerate_dmodule_basis(gen, 15, ctx, max_charge=ctx.p**2))
             assert qs <= dm
 
@@ -176,7 +174,9 @@ def test_degree_law():
     for ctx in (SIGN, UNTW, make_ctx(3, -1, gens=(("w", (1,), -2),)),
                 make_ctx(5, 1, gens=(("v", (1,), 3),))):
         for gen in ctx.generators:
-            for qc in enumerate_qset([gen], 18, ctx.p**2, ctx):
+            for qc in enumerate_qset(ctx, 18, ctx.p**2):
+                if qc.gen != gen:
+                    continue
                 d = qc.degree(ctx.p)
                 assert d >= qc.charge(ctx.p) * gen.n
                 if d == qc.charge(ctx.p) * gen.n:
@@ -186,11 +186,11 @@ def test_degree_law():
 def test_enumeration_budget():
     ctx = make_ctx(3, -1, budget=3)
     with pytest.raises(ResourceError):
-        enumerate_qset([ctx.generator("x")], 30, 27, ctx)
+        enumerate_qset(ctx, 30, 27)
     # the word enumeration fits in 1000 nodes; the monomial walk and the
     # table count do not
     ctx = make_ctx(3, -1, budget=1000)
-    enumerate_qset(ctx.generators, 60, 81, ctx)
+    enumerate_qset(ctx, 60, 81)
     with pytest.raises(ResourceError, match="monomial enumeration"):
         _enumerate_monomials(ctx, 60, 81)
     with pytest.raises(ResourceError, match="monomial enumeration"):
@@ -262,7 +262,7 @@ def test_multiply_anticommute():
 def test_multiply_commutative_with_sign_and_associative():
     rng = random.Random(5)
     for ctx in (SIGN, UNTW, make_ctx(5, -1)):
-        cands = enumerate_qset(ctx.generators, 12, ctx.p, ctx)
+        cands = enumerate_qset(ctx, 12, ctx.p)
         for _ in range(60):
             qa, qb, qc_ = (rng.choice(cands) for _ in range(3))
             a = AlgebraElement.from_monomial(ctx, (qa,))
@@ -301,7 +301,7 @@ def test_merge_matches_pairwise_oracle():
     rng = random.Random(11)
     seen = Counter()
     for ctx in (make_ctx(3, -1), make_ctx(3, 1), make_ctx(5, -1), zz2_context()):
-        cands = enumerate_qset(ctx.generators, 8, ctx.p, ctx)
+        cands = enumerate_qset(ctx, 8, ctx.p)
         for _ in range(500):
             pool = rng.sample(cands, min(5, len(cands)))
             a, b = random_monomial(rng, pool, ctx), random_monomial(rng, pool, ctx)
@@ -345,7 +345,7 @@ def test_sort_key_once_per_class_per_context(monkeypatch):
     for twist in (1, -1):
         ctx = make_ctx(3, twist, gens=(("x", (1,), 0), ("y", (1,), 1), ("z", (1,), 2)))
         mono = max((m for m, *_ in _enumerate_monomials(ctx, 10, 9)), key=lambda m: len(set(m)))
-        ones = enumerate_qset(ctx.generators, 6, 9, ctx)[:12]
+        ones = enumerate_qset(ctx, 6, 9)[:12]
         assert len(set(mono)) >= 5
         big = AlgebraElement.from_monomial(ctx, mono)
         calls.clear()
@@ -531,13 +531,10 @@ def test_basis_validates_bidegree():
     lambda ctx, x: basis((3, 0), 9, ctx),
     lambda ctx, x: enumerate_dmodule_basis(x, 10, ctx, None),
     lambda ctx, x: enumerate_dmodule_basis(x._replace(n=1), 10, ctx, 9),
-    lambda ctx, x: enumerate_qset([Generator("y", (1, 2), 0)], 4, 9, ctx),
-    lambda ctx, x: enumerate_qset([x], 4, 9.0, ctx),
-    lambda ctx, x: enumerate_qset(5, 4, 9, ctx),
+    lambda ctx, x: enumerate_qset(ctx, 4, 9.0),
 ], ids=["float-degree", "bool-degree", "float-charge", "basis-float-degree",
         "basis-no-charge", "basis-not-a-pair", "basis-short-pair", "basis-int-grading",
-        "dmodule-no-charge", "dmodule-foreign-gen", "qset-foreign-gen",
-        "qset-float-charge", "qset-not-a-list"])
+        "dmodule-no-charge", "dmodule-foreign-gen", "qset-float-charge"])
 def test_enumeration_checks_cutoffs_and_generators(call):
     # library input to the public enumeration functions is checked as
     # Context checks its own: a ValidationError, not a TypeError or a

@@ -8,6 +8,7 @@ import pytest
 import dyerlashof
 from dyerlashof.action import apply_op
 from dyerlashof.appcalc import point_context
+from dyerlashof.arith import HalfInt
 from dyerlashof.cli import parse_element
 from dyerlashof.dlalgebra import DLElement, _family_row, adem_expand, normalize
 from dyerlashof.errors import Meter, ResourceError, charge
@@ -68,7 +69,7 @@ def test_products_and_the_cartan_step_draw_on_the_budget():
     # and charges 1 + 0 and 1 + 1; the Cartan step has the two pieces
     # Q^0 x * Q^1 x and Q^1 x * Q^0 x, one multiply each
     with Meter(100) as meter:
-        apply_op(0, 1, parse_element("x^2", ctx), ctx)
+        apply_op(0, HalfInt(2), parse_element("x^2", ctx), ctx)
     assert meter.counts == {"power": 3, "multiply": 4, "Cartan pieces": 2}
 
 
