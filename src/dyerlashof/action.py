@@ -29,6 +29,7 @@ from .freealg import (
     Context,
     Generator,
     QClass,
+    _check_element,
     _combine,
     _from_sums,
     _multiply_into,
@@ -42,9 +43,8 @@ def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraEl
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     if not (isinstance(s, HalfInt) and is_int(s.twice)):
         raise ContractError(f"operation index must be a HalfInt, got {s!r}")
-    if not isinstance(e, AlgebraElement) or e.ctx is not ctx:
-        raise ContractError("elements belong to different contexts")
-    with Meter(ctx.budget):
+    _check_element(e, ctx)
+    with Meter():
         return _combine(ctx, (
             (c, _apply_monomial(eps, s.twice, mono, ctx)) for mono, c in e.terms.items()
         ))
@@ -253,8 +253,10 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
 
 def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """Apply a composite of operations, innermost (rightmost) letter first."""
-    for eps, s2 in reversed(word):
-        e = apply_op(eps, HalfInt(s2), e, ctx)
+    _check_element(e, ctx)
+    with Meter():
+        for eps, s2 in reversed(word):
+            e = apply_op(eps, HalfInt(s2), e, ctx)
     return e
 
 
@@ -264,8 +266,7 @@ def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:
 
 def _shifted(ctx: Context) -> Context:
     gens = [Generator(g.name, g.g, g.n + 1) for g in ctx.generators]
-    return Context(ctx.p, ctx.group, ctx.chi, gens,
-                   ctx.max_degree, ctx.max_charge, ctx.budget)
+    return Context(ctx.p, ctx.group, ctx.chi, gens, ctx.max_degree, ctx.max_charge)
 
 
 def suspension_check(ctx: Context, max_degree, max_charge):

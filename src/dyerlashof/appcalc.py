@@ -9,7 +9,7 @@ the two columns.
 
 from typing import NamedTuple
 
-from .errors import ContractError
+from .errors import ContractError, Meter
 from .freealg import Context, Generator, _enumerate_monomials, monomial_str
 from .grading import GradingGroup, TwistCharacter
 
@@ -76,8 +76,9 @@ def alternating_table(p, max_k, max_degree):
     termwise sum; for k < 2 the two groups coincide and only the trivial
     column counts.
     """
-    triv = sym_trivial_table(p, max_k, max_degree)
-    sgn = sym_sign_table(p, max_k, max_degree)
+    with Meter():  # one budget for both columns
+        triv = sym_trivial_table(p, max_k, max_degree)
+        sgn = sym_sign_table(p, max_k, max_degree)
     rows = {}
     for key in sorted(set(triv) | set(sgn)):
         k, q = key

@@ -15,19 +15,11 @@ from .errors import ContractError, ValidationError
 
 
 P_MAX = 2**31 - 1
-DEFAULT_BUDGET = 10**6
 
 
 def is_int(v) -> bool:
     """An int that is not a bool: JSON true and false must not pass as 1 and 0."""
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def check_budget(budget) -> int:
-    """Return budget, or raise ValidationError unless it is an int >= 0."""
-    if not is_int(budget) or budget < 0:
-        raise ValidationError(f"budget must be a nonnegative integer, got {budget!r}")
-    return budget
 
 
 def check_odd_prime(p: int) -> None:

@@ -23,7 +23,7 @@ import re
 import sys
 
 from . import __version__
-from .arith import DEFAULT_BUDGET, HalfInt, binom_mod_p, check_budget
+from .arith import HalfInt, binom_mod_p
 from .action import apply_op, apply_word, suspension_check
 from .appcalc import alternating_table, point_context, sym_sign_table
 from .dlalgebra import (
@@ -32,7 +32,8 @@ from .dlalgebra import (
     normalize,
     word_degree,
 )
-from .errors import DyerLashofError, Meter, ResourceError, ValidationError, charge
+from .errors import (DEFAULT_BUDGET, DyerLashofError, Meter, ResourceError,
+                     ValidationError, charge)
 from .freealg import (
     AlgebraElement,
     Context,
@@ -181,7 +182,7 @@ def parse_element(text, ctx: Context) -> AlgebraElement:
     """One pass: each term gives a (coefficient, product) pair, all summed once."""
     cur = _Cursor(_tokenize(text), text)
     pairs = []
-    with Meter(ctx.budget):
+    with Meter():
         while True:
             coeff, term = 1, None
             kind, value, _, _ = cur.peek()
@@ -233,6 +234,12 @@ _CONFIG_KEYS = {
 }
 
 
+def _pick(args, cfg: dict, name, default=None):
+    """The flag's value if it was given, else the config's, else default."""
+    override = getattr(args, name, None)
+    return override if override is not None else cfg.get(name, default)
+
+
 def context_from_config(cfg: dict, args=None) -> Context:
     if not isinstance(cfg, dict):
         raise ValidationError("context config must be a JSON object")
@@ -256,33 +263,26 @@ def context_from_config(cfg: dict, args=None) -> Context:
         if not isinstance(item, dict) or set(item) != {"name", "g", "n"}:
             raise ValidationError(f"generator entries need name/g/n, got {item!r}")
         gens.append(Generator(item["name"], item["g"], item["n"]))
-
-    def pick(name, default=None):
-        override = getattr(args, name, None)
-        return override if override is not None else cfg.get(name, default)
-
     return Context(
-        pick("p"),
+        _pick(args, cfg, "p"),
         group,
         chi,
         gens,
-        max_degree=pick("max_degree"),
-        max_charge=pick("max_charge"),
-        budget=pick("budget", DEFAULT_BUDGET),
+        max_degree=_pick(args, cfg, "max_degree"),
+        max_charge=_pick(args, cfg, "max_charge"),
     )
 
 
-def load_context(args) -> Context:
-    if args.context is None:
+def _read_config(path):
+    if path is None:
         raise ValidationError("this command needs --context FILE")
     try:
-        with open(args.context, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read context file: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"context file is not valid JSON: {exc}")
-    return context_from_config(cfg, args)
 
 
 def _need(value, flag):
@@ -316,7 +316,7 @@ def cmd_rewrite(args, out):
     entries = parse_word(args.word)
     twist = -1 if entries[-1][1] % 2 else 1
     elt = DLElement(args.p, twist, {entries: 1})
-    out.write(dlelement_str(normalize(elt, budget=check_budget(args.budget))) + "\n")
+    out.write(dlelement_str(normalize(elt)) + "\n")
     return EXIT_OK
 
 
@@ -329,7 +329,7 @@ def _parse_gvec(text, group):
 
 
 def cmd_basis(args, out):
-    ctx = load_context(args)
+    ctx = args.ctx
     g = _parse_gvec(args.g, ctx.group)
     max_charge = _need(ctx.max_charge, "--max-charge")
     for mono in basis((g, args.n), max_charge, ctx):
@@ -338,7 +338,7 @@ def cmd_basis(args, out):
 
 
 def cmd_table(args, out):
-    ctx = load_context(args)
+    ctx = args.ctx
     max_degree = _need(ctx.max_degree, "--max-degree")
     max_charge = _need(ctx.max_charge, "--max-charge")
     table = poincare_table(ctx, max_degree, max_charge)
@@ -352,19 +352,18 @@ def cmd_table(args, out):
 
 
 def cmd_act(args, out):
-    ctx = load_context(args)
+    ctx = args.ctx
     letters = parse_word(args.op)
     if len(letters) != 1:
         raise ValidationError("act takes a single operation letter like Q^{1/2}")
     eps, s2 = letters[0]
-    with Meter(ctx.budget):
-        result = apply_op(eps, HalfInt(s2), parse_element(args.element, ctx), ctx)
+    result = apply_op(eps, HalfInt(s2), parse_element(args.element, ctx), ctx)
     out.write(element_str(result) + "\n")
     return EXIT_OK
 
 
 def cmd_dmodule(args, out):
-    ctx = load_context(args)
+    ctx = args.ctx
     if args.gen is not None:
         gen = ctx.generator(args.gen)
     elif len(ctx.generators) == 1:
@@ -380,8 +379,7 @@ def cmd_dmodule(args, out):
 
 def cmd_example(args, out):
     make = sym_sign_table if args.which == "sym-sign" else alternating_table
-    with Meter(check_budget(args.budget)):
-        table = make(args.p, args.max_charge, args.max_degree)
+    table = make(args.p, args.max_charge, args.max_degree)
     rows = [
         {
             "label": row.label,
@@ -585,7 +583,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, sys.stdout)
+        # one meter per command, its budget resolved as the context's settings
+        cfg = {}
+        if "context" in vars(args):
+            cfg = _read_config(args.context)
+            args.ctx = context_from_config(cfg, args)
+        with Meter(_pick(args, cfg, "budget", DEFAULT_BUDGET)):
+            code = args.func(args, sys.stdout)
         sys.stdout.flush()
     except DyerLashofError as exc:
         print(f"error: {exc}", file=sys.stderr)

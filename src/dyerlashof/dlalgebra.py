@@ -27,9 +27,7 @@ import math
 from functools import lru_cache
 
 from .arith import (
-    DEFAULT_BUDGET,
     binom_mod_p,
-    check_budget,
     check_odd_prime,
     half_factorial,
     is_int,
@@ -218,7 +216,8 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     _check_entry(inner)
     _check_twist(twist)
     check_odd_prime(p)
-    return tuple(zip(*_adem_expand(outer, inner, twist, p)))
+    with Meter():
+        return tuple(zip(*_adem_expand(outer, inner, twist, p)))
 
 
 _ZERO = ((), ())
@@ -285,18 +284,15 @@ def _rank(w) -> int:
     return rank
 
 
-def normalize(elt: DLElement, strategy: str = "leftmost",
-              budget: int = DEFAULT_BUDGET) -> DLElement:
+def normalize(elt: DLElement, strategy: str = "leftmost") -> DLElement:
     """Rewrite to admissible normal form.
 
     strategy picks which inadmissible adjacent pair of a word is expanded
     first ("leftmost" or "rightmost"); the result is independent of the
     choice.  Each word expanded and each binomial of an uncached Adem family
-    row costs a unit of the meter (errors.Meter; budget sizes a new one).
-    Words whose indices are not all in the twist parity class are zero and
-    dropped.  If every word left is admissible it is returned as it is, free:
-    the budget is then not read, and otherwise it must be an int >= 0
-    (ValidationError).
+    row costs a unit of the meter (errors.Meter).  Words whose indices are
+    not all in the twist parity class are zero and dropped.  If every word
+    left is admissible it is returned as it is, free.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ContractError(f"unknown strategy {strategy!r}")
@@ -325,12 +321,11 @@ def normalize(elt: DLElement, strategy: str = "leftmost",
     if not buckets:
         return DLElement._trusted(p, twist, terms)
 
-    check_budget(budget)
     leftmost = strategy == "leftmost"
     heap = list(buckets)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    with Meter(budget) as meter:
+    with Meter() as meter:
         while heap:
             rank = heappop(heap)
             for w in buckets.pop(rank):

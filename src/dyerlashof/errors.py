@@ -17,17 +17,23 @@ class ResourceError(DyerLashofError):
     """A computation exceeded its work budget (raised by Meter.charge)."""
 
 
+DEFAULT_BUDGET = 10**6
+
+
 class Meter:
-    """The work budget of one call.  `with Meter(budget) as meter` opens a
+    """The work budget of one command.  `with Meter(budget) as meter` opens a
     meter unless one is open, and joins that one otherwise, so nested calls
-    share one budget; the outermost `with` closes it, error or not.  The
-    engine's entry points open Meter(ctx.budget), normalize Meter(budget).
-    Units are charged per stage; work done with no meter open is free."""
+    share one budget; the outermost `with` closes it, error or not.  Each
+    public engine entry opens Meter(), of DEFAULT_BUDGET units.  A budget is
+    an int >= 0, not a bool (ValidationError).  Units are charged per stage;
+    work done with no meter open is free."""
 
     __slots__ = ("budget", "left", "counts")
     running = None  # the open meter
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int = DEFAULT_BUDGET):
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+            raise ValidationError(f"budget must be a nonnegative integer, got {budget!r}")
         self.budget = self.left = budget
         self.counts: dict[str, int] = {}
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .arith import DEFAULT_BUDGET, check_budget, check_odd_prime, is_int
+from .arith import check_odd_prime, is_int
 from .dlalgebra import _check_entry, _find_inadmissible, excess, word_degree
 from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter
@@ -56,14 +56,13 @@ class Context:
     class_data table (_ClassData) and the two caches of action.py."""
 
     def __init__(self, p, group: GradingGroup, chi: TwistCharacter, generators,
-                 max_degree=None, max_charge=None, budget: int = DEFAULT_BUDGET):
+                 max_degree=None, max_charge=None):
         check_odd_prime(p)
         if chi.group != group:
             raise ValidationError("twist character is defined on a different group")
         for name, value in (("max_degree", max_degree), ("max_charge", max_charge)):
             if value is not None:
                 _check_int(name, value)
-        check_budget(budget)
         self.p = p
         self.group = group
         self.chi = chi
@@ -84,7 +83,6 @@ class Context:
             self.generators.append(Generator(gen.name, group.validate(gen.g), gen.n))
         self.max_degree = max_degree
         self.max_charge = max_charge
-        self.budget = budget
         self.class_data = _ClassData(self)
         self._qclass_op_cache = {}
         self._monomial_op_cache = {}
@@ -165,7 +163,7 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
 
     if max_charge < 1 or n > cap(levels):
         return []
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         meter.charge("enumeration")
         level = [((), n)]
         out = level[:] if n <= max_degree else []
@@ -204,7 +202,8 @@ def enumerate_qset(ctx: Context, max_degree, max_charge):
     x a generator of ctx."""
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
-    return [qc for qc, _ in _qset_degrees(ctx, max_degree, max_charge)]
+    with Meter():  # one budget for the searches of all the generators
+        return [qc for qc, _ in _qset_degrees(ctx, max_degree, max_charge)]
 
 
 def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge):
@@ -322,9 +321,14 @@ def _check_monomial(mono, ctx: Context) -> tuple:
     except TypeError:
         raise ValidationError(f"a monomial is a tuple of QClasses, got {mono!r}") from None
     data = ctx.class_data
-    last = None
+    last = checked = None
     for qc in mono:
-        _check_class(qc, ctx)
+        # a run of one factor object is checked once; a factor only equal
+        # to the one before is checked in full, since a Generator with a
+        # float degree equals its int twin
+        if qc is not checked:
+            _check_class(qc, ctx)
+            checked = qc
         row = data[qc]
         if last is not None and (row[0] < last[0] or row is last and not row[3]):
             raise ValidationError(
@@ -388,8 +392,7 @@ class AlgebraElement:
         return not self.terms
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
-        if other.ctx is not self.ctx:
-            raise ContractError("elements belong to different contexts")
+        _check_element(other, self.ctx)
         return _combine(self.ctx, ((1, self), (1, other)))
 
     def scale(self, k: int) -> "AlgebraElement":
@@ -404,6 +407,14 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({element_str(self)})"
+
+
+def _check_element(x, ctx: Context) -> None:
+    """Raise ContractError unless x is an AlgebraElement of ctx."""
+    if not isinstance(x, AlgebraElement):
+        raise ContractError(f"expected an AlgebraElement, got {type(x).__name__}")
+    if x.ctx is not ctx:
+        raise ContractError("elements belong to different contexts")
 
 
 def _from_sums(ctx: Context, out: dict) -> AlgebraElement:
@@ -483,10 +494,11 @@ def _multiply_into(out: dict, a: AlgebraElement, b: AlgebraElement, k: int,
 
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraElement:
     """The product a * b, by _multiply_into into a new dict."""
-    if a.ctx is not ctx or b.ctx is not ctx:
-        raise ContractError("elements belong to different contexts")
+    _check_element(a, ctx)
+    _check_element(b, ctx)
     out: dict = {}
-    _multiply_into(out, a, b, 1, ctx)
+    with Meter():
+        _multiply_into(out, a, b, 1, ctx)
     return _from_sums(ctx, out)
 
 
@@ -538,7 +550,7 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
     Each word the search builds and each node of the walk costs a unit of
     the meter.
     """
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
         add = ctx.group.add
         results = []
@@ -607,7 +619,7 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     """
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
         add = ctx.group.add
         layers = {0: {(ctx.group.zero(), 0): 1}} if max_charge >= 0 else {}

@@ -53,7 +53,7 @@ def poincare_table_by_powers(ctx, max_degree, max_charge):
     """freealg.poincare_table with each class's geometric series expanded in
     full: every partial product steps through every power the class may take,
     one group addition per step.  Charges the meter as poincare_table does."""
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         nu, cands = _candidates(ctx, max_degree, max_charge)
         add = ctx.group.add
         table = {(ctx.group.zero(), 0, 0): 1} if max_charge >= 0 else {}

@@ -418,6 +418,31 @@ def test_bad_generator_exits_2(tmp_path, capsys, key, value, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("cfg,argv,message", [
+    ([1], ["table"], "context config must be a JSON object"),
+    ({**_SIGN_CFG, "colour": 1}, ["table"], "unknown config keys: ['colour']"),
+    ({k: v for k, v in _SIGN_CFG.items() if k != "p"}, ["table"], "config is missing 'p'"),
+    ({**_SIGN_CFG, "grading": 5}, ["table"], "grading must be an object"),
+    ({**_SIGN_CFG, "generators": [{"name": "x"}]}, ["table"],
+     "generator entries need name/g/n, got {'name': 'x'}"),
+    (None, ["table"], "cannot read context file: [Errno 2] No such file or directory: 'PATH'"),
+    (_SIGN_CFG, ["basis", "1,x", "0"],
+     "grading vector must be comma-separated integers, got '1,x'"),
+    ({**_SIGN_CFG, "generators": [{"name": "x", "g": [1], "n": 0},
+                                  {"name": "y", "g": [1], "n": 1}]}, ["dmodule"],
+     "--gen NAME is required with several generators"),
+], ids=["not-object", "unknown-key", "missing-p", "grading", "generator-keys",
+        "unreadable", "grading-vector", "several-generators"])
+def test_config_errors_exit_2(tmp_path, capsys, cfg, argv, message):
+    # the context is read before the command runs: each fault exits 2 with
+    # its message alone.  A cfg of None leaves the file unwritten
+    path = tmp_path / "ctx.json"
+    if cfg is not None:
+        path.write_text(json.dumps(cfg))
+    code, out, err = run_cli([argv[0], "--context", str(path), *argv[1:]], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.replace('PATH', str(path))}\n")
+
+
 def test_basis_rejects_wrong_rank(sign_ctx_file, capsys):
     code, out, err = run_cli(["basis", "--context", sign_ctx_file, "1,2", "4"], capsys)
     assert (code, out) == (2, "") and err.startswith("error:")

@@ -293,21 +293,22 @@ def test_normalize_deep_negative_indices():
 
 def test_normalize_budget():
     e = DLElement(3, 1, {((0, 4), (0, 0)): 1})
-    with pytest.raises(ResourceError):
-        normalize(e, budget=0)
+    with pytest.raises(ResourceError), Meter(0):
+        normalize(e)
     # already admissible input costs no expansion, and words of the wrong
     # parity class are still dropped
     nf = {((0, 2), (0, 2)): 2, ((0, 6), (0, 2)): 1, ((1, 4),): 1, (): 1}
     e = DLElement(3, 1, {**nf, ((0, 3),): 1, ((0, 2), (0, 1)): 2})
     for strategy in ("leftmost", "rightmost"):
-        assert normalize(DLElement(3, 1, nf), strategy, budget=0) == DLElement(3, 1, nf)
-        assert normalize(e, strategy, budget=0) == DLElement(3, 1, nf)
+        with Meter(0):
+            assert normalize(DLElement(3, 1, nf), strategy) == DLElement(3, 1, nf)
+            assert normalize(e, strategy) == DLElement(3, 1, nf)
 
 
 @pytest.mark.parametrize("budget", [-1, 2.5, "x", True])
 def test_normalize_checks_its_budget(budget):
-    with pytest.raises(ValidationError):
-        normalize(DLElement(3, 1, {((0, 20), (0, 0)): 1}), budget=budget)
+    with pytest.raises(ValidationError), Meter(budget):
+        normalize(DLElement(3, 1, {((0, 20), (0, 0)): 1}))
 
 
 def test_rewriting_kernel_pinned():

@@ -164,7 +164,7 @@ def test_word_search_charges_one_unit_per_word():
     # untwisted x it returns Q^{0}^k x for k <= 2095, and βQ^{0} over them
     # (excess -1, with no admissible extension) is never built
     ctx = make_ctx(3, 1)
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         got = enumerate_dmodule_basis(ctx.generator("x"), 0, ctx, max_charge=10**1000)
     assert len(got) == 2096 and got[-1].word == ((0, 0),) * 2095
     assert meter.counts == {"enumeration": 2096}
@@ -184,18 +184,18 @@ def test_degree_law():
 
 
 def test_enumeration_budget():
-    ctx = make_ctx(3, -1, budget=3)
-    with pytest.raises(ResourceError):
+    ctx = make_ctx(3, -1)
+    with pytest.raises(ResourceError), Meter(3):
         enumerate_qset(ctx, 30, 27)
     # the word enumeration fits in 1000 nodes; the monomial walk and the
     # table count do not
-    ctx = make_ctx(3, -1, budget=1000)
-    enumerate_qset(ctx, 60, 81)
-    with pytest.raises(ResourceError, match="monomial enumeration"):
+    with Meter(1000):
+        enumerate_qset(ctx, 60, 81)
+    with pytest.raises(ResourceError, match="monomial enumeration"), Meter(1000):
         _enumerate_monomials(ctx, 60, 81)
-    with pytest.raises(ResourceError, match="monomial enumeration"):
+    with pytest.raises(ResourceError, match="monomial enumeration"), Meter(1000):
         basis(((81,), 60), 81, ctx)
-    with pytest.raises(ResourceError, match="table count"):
+    with pytest.raises(ResourceError, match="table count"), Meter(1000):
         poincare_table(ctx, 60, 81)
 
 
@@ -276,8 +276,16 @@ def test_multiply_commutative_with_sign_and_associative():
 
 
 def test_multiply_context_mismatch():
-    with pytest.raises(ContractError):
-        multiply(AlgebraElement.unit(SIGN), AlgebraElement.unit(UNTW), SIGN)
+    # an element of another context, or no element at all, is refused
+    one = AlgebraElement.unit(SIGN)
+    for a, b in ((one, AlgebraElement.unit(UNTW)), ("a", "b"), (one, None)):
+        with pytest.raises(ContractError):
+            multiply(a, b, SIGN)
+        with pytest.raises(ContractError):
+            multiply(b, a, SIGN)
+    for other in (AlgebraElement.unit(UNTW), "x"):
+        with pytest.raises(ContractError):
+            one.add(other)
 
 
 def zz2_context():
@@ -450,8 +458,9 @@ def test_context_validation():
             Context(3, group, chi, [Generator("x", g, 0)])
     with pytest.raises(ValidationError):
         Context(3, group, chi, [], max_degree="10")
+    # the budget is the meter's, and checked there
     with pytest.raises(ValidationError):
-        Context(3, group, chi, [], budget=10.5)
+        Meter(10.5)
 
 
 @pytest.mark.parametrize("name,g,n,message", [
@@ -557,7 +566,8 @@ def test_walk_prunes_by_degree_floor():
     # same bound as the table count.  It needs 26,270 nodes here; pruning
     # only while every class left has degree >= 0 needs 680,778, past the
     # budget
-    listed = _enumerate_monomials(negative_context(budget=50_000), 2, 15)
+    with Meter(50_000):
+        listed = _enumerate_monomials(negative_context(), 2, 15)
     assert len(listed) == 14_258
     counts = Counter((g, n, charge) for _, g, n, charge in listed)
     assert poincare_table(negative_context(), 2, 15) == dict(counts)
@@ -566,7 +576,7 @@ def test_walk_prunes_by_degree_floor():
 def metered(fn, ctx, max_degree, max_charge):
     """fn's table and meter counts, or the message it ran out of budget with."""
     try:
-        with Meter(ctx.budget) as meter:
+        with Meter() as meter:
             out = fn(ctx, max_degree, max_charge)
     except ResourceError as exc:
         return str(exc)
@@ -612,7 +622,7 @@ def test_poincare_table_many_degree_zero_generators():
     gens = [Generator(f"x{i}", (1,), 0) for i in range(n_gens)]
     ctx = Context(3, group, TwistCharacter(group, (1,)), gens)
     start = time.perf_counter()
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         table = poincare_table(ctx, 0, n_gens)
     assert time.perf_counter() - start < 5.0
     assert table == {((c,), 0, c): math.comb(n_gens + c - 1, c) for c in range(n_gens + 1)}
@@ -626,7 +636,7 @@ def test_candidates_keep_one_row_per_class():
     ctx = point_context(3, 1, 0, 100_000)
     tracemalloc.start()
     try:
-        with Meter(ctx.budget) as meter:
+        with Meter() as meter:
             _, cands = _candidates(ctx, 0, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -658,12 +668,12 @@ def enumeration_digest(ctx, max_degree, max_charge):
     """sha256 over the listed monomials in order (names, words, g, n,
     charge), the sorted table, and the meter counts of both calls."""
     h = hashlib.sha256()
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         listed = _enumerate_monomials(ctx, max_degree, max_charge)
     for factors, g, n, charge in listed:
         h.update(repr(([(q.gen.name, q.word) for q in factors], g, n, charge)).encode())
     h.update(repr(meter.counts).encode())
-    with Meter(ctx.budget) as meter:
+    with Meter() as meter:
         table = poincare_table(ctx, max_degree, max_charge)
     h.update(repr(sorted(table.items())).encode())
     h.update(repr(meter.counts).encode())

@@ -12,7 +12,7 @@ from dyerlashof.arith import HalfInt
 from dyerlashof.cli import parse_element
 from dyerlashof.dlalgebra import DLElement, _family_row, adem_expand, normalize
 from dyerlashof.errors import Meter, ResourceError, charge
-from dyerlashof.freealg import basis, multiply
+from dyerlashof.freealg import AlgebraElement, _enumerate_monomials, basis, multiply
 
 
 def test_nested_meters_share_one_budget():
@@ -40,11 +40,11 @@ def test_basis_draws_one_budget_for_words_and_walk():
     # the word search needs 17 units, the powers it lists 30 and the walk
     # 708: the walk fits 720 alone, but one call spends all three
     ctx = point_context(3, -1, 20, 27)
-    ctx.budget = 720
     with pytest.raises(ResourceError, match=r"^monomial enumeration .*\(enumeration 17, "):
-        basis(((27,), 20), 27, ctx)
-    ctx.budget = 755
-    assert len(basis(((27,), 20), 27, ctx)) == 1
+        with Meter(720):
+            basis(((27,), 20), 27, ctx)
+    with Meter(755):
+        assert len(basis(((27,), 20), 27, ctx)) == 1
 
 
 def test_family_row_draws_on_the_budget():
@@ -52,8 +52,8 @@ def test_family_row_draws_on_the_budget():
     # before it is computed
     adem_expand.cache_clear()
     _family_row.cache_clear()
-    with pytest.raises(ResourceError, match="^Adem family rows"):
-        normalize(DLElement(3, 1, {((0, 6_000_000), (0, 0)): 1}), budget=10**6)
+    with pytest.raises(ResourceError, match="^Adem family rows"), Meter(10**6):
+        normalize(DLElement(3, 1, {((0, 6_000_000), (0, 0)): 1}))
     with Meter(10**4) as meter:
         normalize(DLElement(3, 1, {((0, 6000), (0, 0)): 1}))
     assert meter.counts == {"rewriting": 1, "Adem family rows": 2000}
@@ -71,6 +71,18 @@ def test_products_and_the_cartan_step_draw_on_the_budget():
     with Meter(100) as meter:
         apply_op(0, HalfInt(2), parse_element("x^2", ctx), ctx)
     assert meter.counts == {"power": 3, "multiply": 4, "Cartan pieces": 2}
+
+
+def test_multiply_opens_a_meter():
+    # with no meter open, a product draws on a default one of 10^6 units:
+    # 1,001 x 1,000 pairs of terms exit before the first is merged
+    ctx = point_context(3, 1, 40, 81)
+    monos = [m for m, _, _, _ in _enumerate_monomials(ctx, 40, 81)][:1001]
+    a = AlgebraElement(ctx, dict.fromkeys(monos, 1))
+    b = AlgebraElement(ctx, dict.fromkeys(monos[:1000], 1))
+    with pytest.raises(ResourceError, match=r"^multiply exceeded budget of 1000000 units"):
+        multiply(a, b, ctx)
+    assert Meter.running is None
 
 
 def test_only_the_meter_raises_for_the_budget():
