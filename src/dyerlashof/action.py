@@ -22,13 +22,14 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 
 from .arith import HalfInt, half_factorial, is_int
-from .dlalgebra import DLElement, excess, lower_from_upper, normalize
+from .dlalgebra import DLElement, _check_word, excess, lower_from_upper, normalize
 from .errors import ContractError, Meter, charge
 from .freealg import (
     AlgebraElement,
     Context,
     Generator,
     QClass,
+    _check_context,
     _check_element,
     _combine,
     _from_sums,
@@ -254,6 +255,7 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
 def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """Apply a composite of operations, innermost (rightmost) letter first."""
     _check_element(e, ctx)
+    _check_word(word)
     with Meter():
         for eps, s2 in reversed(word):
             e = apply_op(eps, HalfInt(s2), e, ctx)
@@ -276,6 +278,7 @@ def suspension_check(ctx: Context, max_degree, max_charge):
     lower-index constants must follow the one-step recursion.  Returns a
     list of discrepancy descriptions (empty when everything agrees).
     """
+    _check_context(ctx)
     p = ctx.p
     hf = half_factorial(p)
     bad = []

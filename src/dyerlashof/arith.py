@@ -22,6 +22,12 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValidationError unless value is an int (a bool is not)."""
+    if not is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_odd_prime(p: int) -> None:
     """Raise ValidationError unless p is an odd prime <= P_MAX; the cap keeps
     the trial division under 25,000 steps."""

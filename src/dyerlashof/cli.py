@@ -25,7 +25,8 @@ import sys
 from . import __version__
 from .arith import HalfInt, binom_mod_p
 from .action import apply_op, apply_word, suspension_check
-from .appcalc import alternating_table, point_context, sym_sign_table
+from .appcalc import (_swan_count, alternating_table, point_context, sym_sign_table,
+                      sym_trivial_table)
 from .dlalgebra import (
     DLElement,
     cross_check_composite,
@@ -85,6 +86,8 @@ def _int(numeral):
 
 def _tokenize(text):
     """(kind, text, position, letter) per token, letter the (eps, s2) of an op."""
+    if not isinstance(text, str):
+        raise ValidationError(f"expected text, got {type(text).__name__}")
     tokens = []
     pos = 0
     while pos < len(text):
@@ -483,6 +486,15 @@ def _check_oracles():
     _require(col == want, "sym-sign degrees at charge 3 are %s, not %s", sorted(col), sorted(want))
     alt = {q for (k, q) in alternating_table(3, 3, 10) if k == 3}
     _require(alt == set(range(11)), "alternating degrees at charge 3 are %s", sorted(alt))
+    # Swan's count below p^2 (appcalc._swan_count), each column to degree 40
+    for sign, name, table in ((False, "sym-trivial", sym_trivial_table),
+                              (True, "sym-sign", sym_sign_table)):
+        rows = table(3, 8, 40)
+        for k in range(9):
+            got = {q: row.dim for (c, q), row in rows.items() if c == k}
+            want = _swan_count(3, k, sign, 40)
+            _require(got == want, "%s dimensions at charge %d are %s, not Swan's %s",
+                     name, k, sorted(got.items()), sorted(want.items()))
 
 
 _SELFCHECK_SUITES = [

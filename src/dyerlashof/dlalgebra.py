@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 
 from .arith import (
+    _check_int,
     binom_mod_p,
     check_odd_prime,
     half_factorial,
@@ -53,9 +55,40 @@ def _check_entry(entry) -> None:
         raise ValidationError(f"bad operation letter {entry!r}; want (eps, 2s)")
 
 
+def _check_word(word) -> tuple:
+    """word, or ValidationError unless it is a tuple of letters (eps, 2s)."""
+    if not isinstance(word, tuple):
+        raise ValidationError(f"bad operation word {word!r}; want a tuple of (eps, 2s)")
+    for letter in word:
+        _check_entry(letter)
+    return word
+
+
 def _check_twist(twist) -> None:
     if not is_int(twist) or twist not in (1, -1):
         raise ValidationError(f"twist must be +1 or -1, got {twist}")
+
+
+def _check_coeff(c, p: int) -> int:
+    """c mod p, or ValidationError unless c is an int (a bool is not)."""
+    if not is_int(c):
+        raise ValidationError(f"a coefficient must be an integer, got {c!r}")
+    return c % p
+
+
+def _read_terms(terms, p: int, check_key) -> dict:
+    """A checked copy of terms from outside the engine, a mapping or None: each
+    key by check_key, which returns it, and each coefficient by _check_coeff."""
+    if terms is None:
+        return {}
+    if not isinstance(terms, Mapping):
+        raise ValidationError(f"terms must be a mapping, got {type(terms).__name__}")
+    out = {}
+    for key, c in terms.items():
+        key, c = check_key(key), _check_coeff(c, p)
+        if c:
+            out[key] = c
+    return out
 
 
 def word_degree(entries, p: int) -> int:
@@ -69,10 +102,6 @@ def excess(entries, p: int):
         return math.inf
     e1, s21 = entries[0]
     return s21 - e1 - word_degree(entries[1:], p)
-
-
-def word_charge(entries, p: int) -> int:
-    return p ** len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +118,7 @@ class DLElement:
         _check_twist(twist)
         self.p = p
         self.twist = twist
-        self.terms: dict[tuple[Entry, ...], int] = {}
-        if terms:
-            for word, c in dict(terms).items():
-                try:  # a word, or one of its letters, that is not a sequence
-                    entries = tuple(tuple(e) for e in word)
-                except TypeError:
-                    raise ValidationError(
-                        f"bad operation word {word!r}; want a sequence of (eps, 2s)") from None
-                for e in entries:
-                    _check_entry(e)
-                c %= p
-                if c:
-                    self.terms[entries] = c
+        self.terms: dict[tuple[Entry, ...], int] = _read_terms(terms, p, _check_word)
 
     @classmethod
     def _trusted(cls, p: int, twist: int, terms: dict) -> "DLElement":
@@ -212,8 +229,7 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     """
     # checked as DLElement checks them, before the cache, which would find a
     # bool's equal int key
-    _check_entry(outer)
-    _check_entry(inner)
+    _check_word((outer, inner))
     _check_twist(twist)
     check_odd_prime(p)
     with Meter():
@@ -294,6 +310,8 @@ def normalize(elt: DLElement, strategy: str = "leftmost") -> DLElement:
     not all in the twist parity class are zero and dropped.  If every word
     left is admissible it is returned as it is, free.
     """
+    if not isinstance(elt, DLElement):
+        raise ContractError(f"expected a DLElement, got {type(elt).__name__}")
     if strategy not in ("leftmost", "rightmost"):
         raise ContractError(f"unknown strategy {strategy!r}")
     p, twist = elt.p, elt.twist
@@ -395,8 +413,9 @@ def lower_from_upper(eps: int, s2: int, n: int, p: int):
     index = m*(p-1) for multiplier m = 2s - n = s2 - n.  is_zero reports
     whether the lower operation is the zero operation on degree-n classes.
     """
-    if eps not in (0, 1):
-        raise ContractError(f"eps must be 0 or 1, got {eps}")
+    _check_entry((eps, s2))
+    _check_int("n", n)
+    check_odd_prime(p)
     m = s2 - n
     sign = -1 if s2 // 2 % 2 else 1
     c = sign * pow(half_factorial(p), 3 * (s2 % 2), p) * v_const(n, p)
@@ -405,6 +424,13 @@ def lower_from_upper(eps: int, s2: int, n: int, p: int):
 
 # case -> (outer_beta, inner_beta)
 _LOWER_CASES = {"QQ": (0, 0), "bQQ": (1, 0), "QbQ": (0, 1), "bQbQ": (1, 1)}
+
+
+def _lower_case(case):
+    """(outer_beta, inner_beta) of a case name, or ContractError."""
+    if case not in _LOWER_CASES:
+        raise ContractError(f"case must be one of {tuple(_LOWER_CASES)}, got {case!r}")
+    return _LOWER_CASES[case]
 
 
 def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
@@ -417,11 +443,11 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
     Returns {((eps_out, m_out), (eps_in, m_in)): coeff} over nonzero lower
     operations; chi_g is the twist character value of the acted-on classes.
     """
-    if case not in _LOWER_CASES:
-        raise ContractError(f"case must be one of {tuple(_LOWER_CASES)}, got {case!r}")
-    outer_beta, inner_beta = _LOWER_CASES[case]
-    if chi_g not in (1, -1):
-        raise ContractError(f"chi_g must be +1 or -1, got {chi_g}")
+    outer_beta, inner_beta = _lower_case(case)
+    for name, value in (("r", r), ("s", s), ("n", n)):
+        _check_int(name, value)
+    _check_twist(chi_g)
+    check_odd_prime(p)
     if inner_beta:
         if r < s:
             raise ContractError(f"need r >= s for {case}, got r={r}, s={s}")
@@ -496,7 +522,7 @@ def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int)
     Route B converts the composite to a single upper word and normalizes it
     with the upper-indexed relations.  Returns (route_a, route_b).
     """
-    outer_beta, inner_beta = _LOWER_CASES[case]
+    outer_beta, inner_beta = _lower_case(case)
     want = 0 if chi_g == 1 else 1
 
     def keep(entries):

@@ -32,8 +32,9 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .arith import check_odd_prime, is_int
-from .dlalgebra import _check_entry, _find_inadmissible, excess, word_degree
+from .arith import _check_int, check_odd_prime, is_int
+from .dlalgebra import (_check_coeff, _check_word, _find_inadmissible, _read_terms, excess,
+                        word_degree)
 from .errors import ContractError, Meter, ValidationError, charge
 from .grading import GradingGroup, TwistCharacter
 
@@ -42,12 +43,6 @@ class Generator(NamedTuple):
     name: str
     g: tuple[int, ...]
     n: int
-
-
-def _check_int(name: str, value) -> None:
-    """Raise ValidationError unless value is an int (a bool is not)."""
-    if not is_int(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 class Context:
@@ -73,8 +68,7 @@ class Context:
                 raise ValidationError(f"expected Generator, got {gen!r}")
             if not isinstance(gen.name, str) or not gen.name:
                 raise ValidationError("generator name must be a nonempty string")
-            if not is_int(gen.n):
-                raise ValidationError(f"generator degree must be an integer, got {gen.n!r}")
+            _check_int("generator degree", gen.n)
             if not isinstance(gen.g, (tuple, list)):
                 raise ValidationError(f"generator grading must be a list, got {gen.g!r}")
             if gen.name in seen:
@@ -92,6 +86,12 @@ class Context:
             if gen.name == name:
                 return gen
         raise ValidationError(f"no generator named {name!r}")
+
+
+def _check_context(ctx) -> None:
+    """Raise ContractError unless ctx is a Context."""
+    if not isinstance(ctx, Context):
+        raise ContractError(f"expected a Context, got {type(ctx).__name__}")
 
 
 class QClass(NamedTuple):
@@ -200,6 +200,7 @@ def _qset_degrees(ctx: Context, max_degree, max_charge):
 def enumerate_qset(ctx: Context, max_degree, max_charge):
     """All Q^I x with internal degree <= max_degree and charge <= max_charge,
     x a generator of ctx."""
+    _check_context(ctx)
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
     with Meter():  # one budget for the searches of all the generators
@@ -212,6 +213,7 @@ def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge
     In degrees n <= 0 the weak inequality admits words of every length (for
     instance iterated Q^{n/2}), so the charge cutoff is required.
     """
+    _check_context(ctx)
     _check_generator(gen, ctx)
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
@@ -298,10 +300,7 @@ def _check_class(qc, ctx: Context) -> None:
     if not isinstance(qc, QClass):
         raise ValidationError(f"a monomial factor must be a QClass, got {qc!r}")
     _check_generator(qc.gen, ctx)
-    if not isinstance(qc.word, tuple):
-        raise ValidationError(f"bad operation word {qc.word!r}; want a tuple of (eps, 2s)")
-    for letter in qc.word:
-        _check_entry(letter)
+    _check_word(qc.word)
     par = ctx.chi.parity(qc.gen.g)
     if any(s2 % 2 != par for _, s2 in qc.word):
         raise ValidationError(f"{qclass_str(qc)}: an index of the wrong parity for its twist")
@@ -338,32 +337,22 @@ def _check_monomial(mono, ctx: Context) -> tuple:
     return mono
 
 
-def _check_coeff(c, ctx: Context) -> int:
-    """c mod p, or ValidationError unless c is an int (a bool is not)."""
-    if not is_int(c):
-        raise ValidationError(f"a coefficient must be an integer, got {c!r}")
-    return c % ctx.p
-
-
 _new = object.__new__  # AlgebraElement._trusted skips __init__ and its checks
 
 
 class AlgebraElement:
     """A linear combination of sorted monomials in QClasses.
 
-    The constructor checks its input (see _check_monomial; coefficients are
-    ints, reduced mod p).  The engine builds its results with _trusted."""
+    The constructor checks its input as DLElement does (_read_terms, each key
+    by _check_monomial).  The engine builds its results with _trusted."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms=None):
+        _check_context(ctx)
         self.ctx = ctx
-        self.terms: dict[tuple[QClass, ...], int] = {}
-        if terms:
-            for mono, c in dict(terms).items():
-                mono, c = _check_monomial(mono, ctx), _check_coeff(c, ctx)
-                if c:
-                    self.terms[mono] = c
+        self.terms: dict[tuple[QClass, ...], int] = _read_terms(
+            terms, ctx.p, lambda mono: _check_monomial(mono, ctx))
 
     @staticmethod
     def _trusted(ctx: Context, terms: dict) -> "AlgebraElement":
@@ -384,6 +373,7 @@ class AlgebraElement:
 
     @classmethod
     def from_monomial(cls, ctx, factors):
+        _check_context(ctx)
         # checked before it is hashed, which a factor may not allow
         return cls._trusted(ctx, {_check_monomial(factors, ctx): 1})
 
@@ -396,7 +386,7 @@ class AlgebraElement:
         return _combine(self.ctx, ((1, self), (1, other)))
 
     def scale(self, k: int) -> "AlgebraElement":
-        return _combine(self.ctx, ((_check_coeff(k, self.ctx), self),))
+        return _combine(self.ctx, ((_check_coeff(k, self.ctx.p), self),))
 
     def __eq__(self, other):
         return (
@@ -579,6 +569,7 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
 
 def basis(bidegree, max_charge, ctx: Context):
     """All monomials of the requested bidegree (g, n) with charge <= max_charge."""
+    _check_context(ctx)
     if not (isinstance(bidegree, (tuple, list)) and len(bidegree) == 2
             and isinstance(bidegree[0], (tuple, list))):
         raise ValidationError(f"a bidegree is a pair (g, n), g a tuple, got {bidegree!r}")
@@ -617,6 +608,7 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     of the table it leaves at most once, so its work is bounded by the units
     the next class is charged (or by the finished table, for the last class).
     """
+    _check_context(ctx)
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
     with Meter() as meter:

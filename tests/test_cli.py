@@ -504,6 +504,26 @@ def test_selfcheck_checks_under_optimize():
     assert lines[-1] == "selfcheck: 6/7 suites passed"
 
 
+def test_selfcheck_checks_the_swan_count():
+    # one dimension of the trivial column at charge 6 lowered: the first
+    # oracle checks (charge 3) pass, and Swan's count must catch it, under -O
+    code = ("import sys, dyerlashof.appcalc as appcalc, dyerlashof.cli as cli\n"
+            "def table(*args):\n"
+            "    rows = appcalc.sym_trivial_table(*args)\n"
+            "    rows[6, 7] = rows[6, 7]._replace(dim=1)\n"
+            "    return rows\n"
+            "cli.sym_trivial_table = table\n"
+            "sys.exit(cli.main(['selfcheck']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dyerlashof.__file__).parents[1])}
+    sub = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert sub.returncode == 1
+    lines = sub.stdout.splitlines()
+    assert any(line.startswith("FAIL homology-oracles: sym-trivial dimensions at charge 6 "
+                               "are [(0, 1), (3, 1), (4, 1), (7, 1), (8, 2),") for line in lines)
+    assert lines[-1] == "selfcheck: 6/7 suites passed"
+
+
 def test_import_loads_no_dataclasses():
     # the records are named tuples, so the CLI's import skips dataclasses and
     # the inspect machinery it pulls in

@@ -16,7 +16,6 @@ from dyerlashof.dlalgebra import (
     excess,
     lower_from_upper,
     normalize,
-    word_charge,
     word_degree,
 )
 from dyerlashof.errors import ContractError, Meter, ResourceError, ValidationError
@@ -41,8 +40,6 @@ def test_word_degree_and_charge():
     assert word_degree(((0, 4), (0, 2)), 3) == 8 + 4
     assert word_degree(((1, 4), (0, 2)), 3) == 7 + 4
     assert word_degree((), 3) == 0
-    assert word_charge(((0, 2), (0, 2)), 3) == 9
-    assert word_charge((), 5) == 1
 
 
 def test_excess():

@@ -1,0 +1,157 @@
+"""Malformed input at every public entry ends in a typed error.
+
+Each row calls one entry the README names, or one of the lower-indexing
+API, with one malformed argument, and expects the exact DyerLashofError
+subclass: ValidationError for bad input, ContractError for an argument of
+the wrong kind of object (a context, an element).  No row may end in a
+TypeError, AttributeError, KeyError or ValueError, nor return a value.
+"""
+
+import pytest
+
+from dyerlashof.action import apply_op, apply_word, suspension_check
+from dyerlashof.appcalc import point_context
+from dyerlashof.arith import HalfInt
+from dyerlashof.cli import parse_element, parse_word
+from dyerlashof.dlalgebra import (
+    DLElement,
+    adem_expand,
+    adem_expand_lower,
+    cross_check_composite,
+    lower_from_upper,
+    normalize,
+)
+from dyerlashof.errors import ContractError, DyerLashofError, Meter, ValidationError
+from dyerlashof.freealg import (
+    AlgebraElement,
+    Context,
+    Generator,
+    QClass,
+    basis,
+    enumerate_dmodule_basis,
+    enumerate_qset,
+    multiply,
+    poincare_table,
+)
+from dyerlashof.grading import GradingGroup, TwistCharacter
+
+CTX = point_context(3, -1, 10, 9)
+GEN = CTX.generator("x")
+X = QClass(GEN, ())
+ELT = AlgebraElement.from_monomial(CTX, (X,))
+WORD = ((0, 3), (1, 1))  # Q^{3/2} bQ^{1/2}
+GROUP = GradingGroup(1)
+CHI = TwistCharacter(GROUP, (-1,))
+
+V, C = ValidationError, ContractError
+
+# (id, error class, call)
+ROWS = [
+    # the Dyer-Lashof algebra
+    ("DLElement-p", V, lambda: DLElement(4, 1, {})),
+    ("DLElement-twist", V, lambda: DLElement(3, 0, {})),
+    ("DLElement-list", V, lambda: DLElement(3, 1, [1, 2])),
+    ("DLElement-pairs", V, lambda: DLElement(3, -1, [(WORD, 1)])),
+    ("DLElement-float-coeff", V, lambda: DLElement(3, 1, {((0, 4), (0, 0)): 2.5})),
+    ("DLElement-bool-coeff", V, lambda: DLElement(3, -1, {WORD: True})),
+    ("DLElement-word-str", V, lambda: DLElement(3, 1, {"xx": 1})),
+    ("DLElement-word-int", V, lambda: DLElement(3, 1, {5: 1})),
+    ("DLElement-bool-letter", V, lambda: DLElement(3, 1, {((True, 4),): 1})),
+    ("normalize-not-element", C, lambda: normalize("Q^{2} Q^{0}")),
+    ("normalize-strategy", C, lambda: normalize(DLElement(3, -1, {WORD: 1}), "middle")),
+    ("adem_expand-bool-letter", V, lambda: adem_expand((True, 2), (0, 0), 1, 3)),
+    # the lower-indexing API
+    ("lower_from_upper-eps", V, lambda: lower_from_upper(2, 2, 0, 3)),
+    ("lower_from_upper-bool-eps", V, lambda: lower_from_upper(True, 2, 0, 3)),
+    ("lower_from_upper-float-s2", V, lambda: lower_from_upper(0, 2.5, 0, 3)),
+    ("lower_from_upper-float-n", V, lambda: lower_from_upper(0, 2, 0.5, 3)),
+    ("lower_from_upper-p", V, lambda: lower_from_upper(0, 2, 0, 4)),
+    ("adem_expand_lower-chi", V, lambda: adem_expand_lower(3, 1, 0, 0, 3, "QQ")),
+    ("adem_expand_lower-bool-chi", V, lambda: adem_expand_lower(3, 1, 0, True, 3, "QQ")),
+    ("adem_expand_lower-float-n", V, lambda: adem_expand_lower(3, 1, 0.5, 1, 3, "QQ")),
+    ("adem_expand_lower-float-r", V, lambda: adem_expand_lower(3.0, 1, 0, 1, 3, "QQ")),
+    ("adem_expand_lower-p", V, lambda: adem_expand_lower(3, 1, 0, 1, 4, "QQ")),
+    ("adem_expand_lower-case", C, lambda: adem_expand_lower(3, 1, 0, 1, 3, "XX")),
+    ("cross_check_composite-case", C, lambda: cross_check_composite(3, 1, "XX", 0, 3, 1)),
+    # contexts and their parts
+    ("GradingGroup-rank", V, lambda: GradingGroup(-1)),
+    ("TwistCharacter-sign", V, lambda: TwistCharacter(GROUP, (0,))),
+    ("Context-p", V, lambda: Context(4, GROUP, CHI, [])),
+    ("Context-degree", V, lambda: Context(3, GROUP, CHI, [Generator("x", (1,), 0.5)])),
+    ("point_context-twist", V, lambda: point_context(3, 0, 4, 4)),
+    ("Meter-budget", V, lambda: Meter(-1)),
+    # the free algebra
+    ("AlgebraElement-ctx", C, lambda: AlgebraElement("c", {})),
+    ("AlgebraElement-list", V, lambda: AlgebraElement(CTX, [1])),
+    ("AlgebraElement-float-coeff", V, lambda: AlgebraElement(CTX, {(X,): 1.5})),
+    ("AlgebraElement-bare-class", C, lambda: AlgebraElement(CTX, {X: 1})),
+    ("from_monomial-ctx", C, lambda: AlgebraElement.from_monomial("c", (X,))),
+    ("from_monomial-bare-class", C, lambda: AlgebraElement.from_monomial(CTX, X)),
+    ("scale-float", V, lambda: ELT.scale(1.5)),
+    ("add-not-element", C, lambda: ELT.add("x")),
+    ("multiply-not-element", C, lambda: multiply(ELT, "x", CTX)),
+    ("enumerate_qset-ctx", C, lambda: enumerate_qset("c", 4, 4)),
+    ("enumerate_qset-cutoff", V, lambda: enumerate_qset(CTX, 4.0, 4)),
+    ("enumerate_dmodule_basis-ctx", C, lambda: enumerate_dmodule_basis(GEN, 4, "c", 4)),
+    ("enumerate_dmodule_basis-gen", V, lambda: enumerate_dmodule_basis("x", 4, CTX, 4)),
+    ("basis-ctx", C, lambda: basis(((1,), 0), 4, "c")),
+    ("basis-bidegree", V, lambda: basis(0, 4, CTX)),
+    ("poincare_table-ctx", C, lambda: poincare_table("c", 4, 4)),
+    ("poincare_table-cutoff", V, lambda: poincare_table(CTX, 4, None)),
+    # the action
+    ("apply_op-int-index", C, lambda: apply_op(0, 1, ELT, CTX)),
+    ("apply_op-eps", C, lambda: apply_op(2, HalfInt(1), ELT, CTX)),
+    ("apply_word-str", V, lambda: apply_word("xx", ELT, CTX)),
+    ("apply_word-list", V, lambda: apply_word([1], ELT, CTX)),
+    ("apply_word-not-element", C, lambda: apply_word(WORD, "x", CTX)),
+    ("suspension_check-ctx", C, lambda: suspension_check("c", 4, 4)),
+    # the parsers
+    ("parse_element-not-text", V, lambda: parse_element(5, CTX)),
+    ("parse_element-syntax", V, lambda: parse_element("x +", CTX)),
+    ("parse_word-not-text", V, lambda: parse_word(None)),
+    ("parse_word-syntax", V, lambda: parse_word("Q^{2} x")),
+]
+
+
+@pytest.mark.parametrize("error,call", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_malformed_input_raises_a_typed_error(error, call):
+    assert issubclass(error, DyerLashofError)
+    with pytest.raises(error):
+        call()
+
+
+def _both_elements(coeff):
+    """Calls that build a DLElement and an AlgebraElement of one term, each
+    with coefficient coeff."""
+    return (lambda: DLElement(3, -1, {WORD: coeff}),
+            lambda: AlgebraElement(CTX, {(X,): coeff}))
+
+
+@pytest.mark.parametrize("coeff", [True, False, 2.5, 1.0, "1", None],
+                         ids=["true", "false", "float", "float-int", "str", "none"])
+def test_both_algebras_refuse_the_same_coefficients(coeff):
+    for build in _both_elements(coeff):
+        with pytest.raises(ValidationError):
+            build()
+
+
+@pytest.mark.parametrize("coeff", [1, 4, -2, 3, 10**30])
+def test_both_algebras_take_int_coefficients(coeff):
+    dl, alg = (build() for build in _both_elements(coeff))
+    c = coeff % 3
+    assert dl.terms == ({WORD: c} if c else {})
+    assert alg.terms == ({(X,): c} if c else {})
+
+
+@pytest.mark.parametrize("terms", [[1, 2], [(WORD, 1)], "ab", 5, 0, (), []],
+                         ids=["list", "pairs", "str", "int", "zero", "tuple", "empty-list"])
+def test_both_algebras_refuse_the_same_non_mappings(terms):
+    for build in (lambda: DLElement(3, -1, terms), lambda: AlgebraElement(CTX, terms)):
+        with pytest.raises(ValidationError):
+            build()
+
+
+def test_both_algebras_read_none_and_empty_as_zero():
+    for terms in (None, {}):
+        assert DLElement(3, -1, terms).is_zero
+        assert AlgebraElement(CTX, terms).is_zero
