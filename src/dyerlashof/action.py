@@ -23,7 +23,7 @@ from itertools import accumulate, groupby
 
 from .arith import HalfInt, half_factorial, is_int
 from .dlalgebra import DLElement, _check_word, excess, lower_from_upper, normalize
-from .errors import ContractError, Meter, charge
+from .errors import ContractError, charge, metered
 from .freealg import (
     AlgebraElement,
     Context,
@@ -38,6 +38,7 @@ from .freealg import (
 )
 
 
+@metered
 def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """beta^eps Q^s acting on an element of ctx; linear over F_p."""
     if not is_int(eps) or eps not in (0, 1):
@@ -45,10 +46,9 @@ def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraEl
     if not (isinstance(s, HalfInt) and is_int(s.twice)):
         raise ContractError(f"operation index must be a HalfInt, got {s!r}")
     _check_element(e, ctx)
-    with Meter():
-        return _combine(ctx, (
-            (c, _apply_monomial(eps, s.twice, mono, ctx)) for mono, c in e.terms.items()
-        ))
+    s2 = s.twice
+    return _combine(ctx, [(c, _apply_monomial(eps, s2, mono, ctx))
+                          for mono, c in e.terms.items()])
 
 
 def _realize_word(word, gen, ctx: Context):
@@ -134,7 +134,7 @@ def _apply_power(eps, s2, qc: QClass, q: int, ctx: Context) -> AlgebraElement:
     if q == 1:
         return _apply_qclass(eps, s2, qc, ctx)
     if eps or s2 % q:
-        return AlgebraElement.zero(ctx)
+        return AlgebraElement._trusted(ctx, {})
     return AlgebraElement._trusted(ctx, {
         tuple([f for f in m for _ in range(q)]): c
         for m, c in _apply_qclass(0, s2 // q, qc, ctx).terms.items()
@@ -164,8 +164,8 @@ def _blocks(mono, p):
 def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     if not mono:
         if eps == 0 and s2 == 0:
-            return AlgebraElement.unit(ctx)
-        return AlgebraElement.zero(ctx)
+            return AlgebraElement._trusted(ctx, {(): 1})
+        return AlgebraElement._trusted(ctx, {})
     # _apply_monomial has read off an index of the wrong parity.  The
     # Cartan formula is summed over blocks: a run of p or more equal factors
     # (sorted, so adjacent) is split into p^i-th powers, each acted on by
@@ -252,13 +252,13 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     return cartan(0, eps, s2, rest)
 
 
+@metered
 def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """Apply a composite of operations, innermost (rightmost) letter first."""
     _check_element(e, ctx)
     _check_word(word)
-    with Meter():
-        for eps, s2 in reversed(word):
-            e = apply_op(eps, HalfInt(s2), e, ctx)
+    for eps, s2 in reversed(word):
+        e = apply_op(eps, HalfInt(s2), e, ctx)
     return e
 
 

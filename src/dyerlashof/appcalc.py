@@ -10,7 +10,8 @@ Swan's theorem, without the model: selfcheck and the tests compare the two.
 
 from typing import NamedTuple
 
-from .errors import Meter
+from .arith import _check_int
+from .errors import metered
 from .freealg import Context, Generator, _enumerate_monomials, monomial_str
 from .grading import GradingGroup, TwistCharacter
 
@@ -41,7 +42,12 @@ def point_context(p, twist, max_degree, max_charge):
     return Context(p, group, chi, [gen], max_degree=max_degree, max_charge=max_charge)
 
 
-def _column_rows(ctx, max_k, max_degree, label_fmt):
+def _column(p, twist, max_k, max_degree, label_fmt):
+    """The rows of one column: the monomials of point_context(p, twist)
+    grouped by (charge, degree)."""
+    _check_int("max_k", max_k)
+    _check_int("max_degree", max_degree)
+    ctx = point_context(p, twist, max_degree, max_k)
     grouped = {}
     for factors, _, n, charge in _enumerate_monomials(ctx, max_degree, max_k):
         grouped.setdefault((charge, n), []).append(monomial_str(factors))
@@ -57,16 +63,15 @@ def sym_sign_table(p, max_k, max_degree):
 
     Returned as a dict keyed by (k, q); a missing key means dimension zero.
     """
-    ctx = point_context(p, -1, max_degree, max_k)
-    return _column_rows(ctx, max_k, max_degree, "S_{k} sign")
+    return _column(p, -1, max_k, max_degree, "S_{k} sign")
 
 
 def sym_trivial_table(p, max_k, max_degree):
     """Dimensions of H_q(S_k; F_p) for k <= max_k, q <= max_degree."""
-    ctx = point_context(p, 1, max_degree, max_k)
-    return _column_rows(ctx, max_k, max_degree, "S_{k} trivial")
+    return _column(p, 1, max_k, max_degree, "S_{k} trivial")
 
 
+@metered  # one budget for both columns
 def alternating_table(p, max_k, max_degree):
     """Dimensions of H_q(A_k; F_p): trivial plus sign column, per degree.
 
@@ -75,9 +80,8 @@ def alternating_table(p, max_k, max_degree):
     termwise sum; for k < 2 the two groups coincide and only the trivial
     column counts.
     """
-    with Meter():  # one budget for both columns
-        triv = sym_trivial_table(p, max_k, max_degree)
-        sgn = sym_sign_table(p, max_k, max_degree)
+    triv = sym_trivial_table(p, max_k, max_degree)
+    sgn = sym_sign_table(p, max_k, max_degree)
     rows = {}
     for key in sorted(set(triv) | set(sgn)):
         k, q = key

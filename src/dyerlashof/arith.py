@@ -11,15 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ValidationError, is_int
 
 
 P_MAX = 2**31 - 1
-
-
-def is_int(v) -> bool:
-    """An int that is not a bool: JSON true and false must not pass as 1 and 0."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_int(name: str, value) -> None:

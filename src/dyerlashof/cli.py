@@ -34,12 +34,13 @@ from .dlalgebra import (
     word_degree,
 )
 from .errors import (DEFAULT_BUDGET, DyerLashofError, Meter, ResourceError,
-                     ValidationError, charge)
+                     ValidationError, charge, metered)
 from .freealg import (
     AlgebraElement,
     Context,
     Generator,
     QClass,
+    _check_context,
     _combine,
     _enumerate_monomials,
     basis,
@@ -181,35 +182,36 @@ def _parse_factor(cur: _Cursor, ctx: Context) -> AlgebraElement:
     return base
 
 
+@metered
 def parse_element(text, ctx: Context) -> AlgebraElement:
     """One pass: each term gives a (coefficient, product) pair, all summed once."""
+    _check_context(ctx)
     cur = _Cursor(_tokenize(text), text)
     pairs = []
-    with Meter():
-        while True:
-            coeff, term = 1, None
-            kind, value, _, _ = cur.peek()
-            # a numeral is the coefficient, except a 1 not followed by '*': the unit
-            if kind == "num" and (value != "1" or cur.peek(1)[0] == "star"):
-                coeff = _int(cur.take()[1])
-                if cur.peek()[0] == "star":
-                    cur.take()
-                elif cur.peek()[0] in ("plus", None):
-                    term = AlgebraElement.unit(ctx)
-                else:
-                    cur.fail("'*' or '+' after a coefficient")
-            if term is None:
-                term = _parse_factor(cur, ctx)
-                while cur.peek()[0] == "star":
-                    cur.take()
-                    term = multiply(term, _parse_factor(cur, ctx), ctx)
-            pairs.append((coeff, term))
-            kind = cur.peek()[0]
-            if kind is None:
-                return _combine(ctx, pairs)
-            if kind != "plus":
-                cur.fail("'+' between terms")
-            cur.take()
+    while True:
+        coeff, term = 1, None
+        kind, value, _, _ = cur.peek()
+        # a numeral is the coefficient, except a 1 not followed by '*': the unit
+        if kind == "num" and (value != "1" or cur.peek(1)[0] == "star"):
+            coeff = _int(cur.take()[1])
+            if cur.peek()[0] == "star":
+                cur.take()
+            elif cur.peek()[0] in ("plus", None):
+                term = AlgebraElement.unit(ctx)
+            else:
+                cur.fail("'*' or '+' after a coefficient")
+        if term is None:
+            term = _parse_factor(cur, ctx)
+            while cur.peek()[0] == "star":
+                cur.take()
+                term = multiply(term, _parse_factor(cur, ctx), ctx)
+        pairs.append((coeff, term))
+        kind = cur.peek()[0]
+        if kind is None:
+            return _combine(ctx, pairs)
+        if kind != "plus":
+            cur.fail("'+' between terms")
+        cur.take()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .arith import (
     twist_power,
     v_const,
 )
-from .errors import ContractError, Meter, ValidationError, charge
+from .errors import ContractError, Meter, ValidationError, charge, metered
 
 Entry = tuple[int, int]  # (eps, s2) with s2 = 2s
 
@@ -44,23 +44,16 @@ Entry = tuple[int, int]  # (eps, s2) with s2 = 2s
 # words
 
 
-def _check_entry(entry) -> None:
-    if (
-        not isinstance(entry, tuple)
-        or len(entry) != 2
-        or not is_int(entry[0])
-        or entry[0] not in (0, 1)
-        or not is_int(entry[1])
-    ):
-        raise ValidationError(f"bad operation letter {entry!r}; want (eps, 2s)")
-
-
 def _check_word(word) -> tuple:
-    """word, or ValidationError unless it is a tuple of letters (eps, 2s)."""
+    """word, or ValidationError unless it is a tuple of letters (eps, 2s):
+    pairs of ints, not bools, with eps 0 or 1.  Each letter is one test that
+    calls nothing but is_int."""
     if not isinstance(word, tuple):
         raise ValidationError(f"bad operation word {word!r}; want a tuple of (eps, 2s)")
     for letter in word:
-        _check_entry(letter)
+        if not (isinstance(letter, tuple) and len(letter) == 2 and is_int(letter[0])
+                and letter[0] in (0, 1) and is_int(letter[1])):
+            raise ValidationError(f"bad operation letter {letter!r}; want (eps, 2s)")
     return word
 
 
@@ -81,7 +74,8 @@ def _read_terms(terms, p: int, check_key) -> dict:
     key by check_key, which returns it, and each coefficient by _check_coeff."""
     if terms is None:
         return {}
-    if not isinstance(terms, Mapping):
+    # a dict is settled without the Mapping ABC's slower isinstance
+    if not (isinstance(terms, dict) or isinstance(terms, Mapping)):
         raise ValidationError(f"terms must be a mapping, got {type(terms).__name__}")
     out = {}
     for key, c in terms.items():
@@ -107,6 +101,8 @@ def excess(entries, p: int):
 # ---------------------------------------------------------------------------
 # elements of the Dyer-Lashof algebra at a fixed twist class
 
+_new = object.__new__  # DLElement._trusted skips __init__ and its checks
+
 
 class DLElement:
     """A linear combination of operation words at a common twist class."""
@@ -120,11 +116,11 @@ class DLElement:
         self.twist = twist
         self.terms: dict[tuple[Entry, ...], int] = _read_terms(terms, p, _check_word)
 
-    @classmethod
-    def _trusted(cls, p: int, twist: int, terms: dict) -> "DLElement":
+    @staticmethod
+    def _trusted(p: int, twist: int, terms: dict) -> "DLElement":
         """Wrap terms the engine built itself: canonical words, coefficients
         already reduced and nonzero.  Nothing is checked or copied."""
-        elt = cls.__new__(cls)
+        elt = _new(DLElement)
         elt.p, elt.twist, elt.terms = p, twist, terms
         return elt
 
@@ -220,6 +216,7 @@ def _family_terms(r2, s2, p, pref, t_off, b_off, e_out, e_in):
 # beta Q . Q is the only family without the twist power on either side.
 
 
+@metered
 def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     """Rewrite one inadmissible pair; returns ((word, coeff), ...) sorted by word.
 
@@ -232,8 +229,7 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     _check_word((outer, inner))
     _check_twist(twist)
     check_odd_prime(p)
-    with Meter():
-        return tuple(zip(*_adem_expand(outer, inner, twist, p)))
+    return tuple(zip(*_adem_expand(outer, inner, twist, p)))
 
 
 _ZERO = ((), ())
@@ -308,7 +304,7 @@ def normalize(elt: DLElement, strategy: str = "leftmost") -> DLElement:
     choice.  Each word expanded and each binomial of an uncached Adem family
     row costs a unit of the meter (errors.Meter).  Words whose indices are
     not all in the twist parity class are zero and dropped.  If every word
-    left is admissible it is returned as it is, free.
+    left is admissible it is returned as it is, free, with no meter opened.
     """
     if not isinstance(elt, DLElement):
         raise ContractError(f"expected a DLElement, got {type(elt).__name__}")
@@ -316,15 +312,13 @@ def normalize(elt: DLElement, strategy: str = "leftmost") -> DLElement:
         raise ContractError(f"unknown strategy {strategy!r}")
     p, twist = elt.p, elt.twist
     want = 0 if twist == 1 else 1
-    # terms: word -> coefficient, reduced mod p.  buckets: rank -> the words
-    # first met at that rank.  Only inadmissible words are queued: an
-    # admissible word is never expanded, so it stays in terms and collects
-    # its contributions to the end.  The words and coefficients of elt are
-    # canonical (DLElement), so they are read as they are.
+    # The words and coefficients of elt are canonical (DLElement), so they
+    # are read as they are, each in one scan.  terms: word -> coefficient,
+    # reduced mod p.  Only the inadmissible words are queued.
     terms = {}
-    buckets: dict = {}
+    queue = []
     for w, c in elt.terms.items():
-        left = -math.inf
+        left = _NO_LEFT
         inadmissible = False
         for e, s2 in w:
             if s2 % 2 != want:
@@ -335,63 +329,77 @@ def normalize(elt: DLElement, strategy: str = "leftmost") -> DLElement:
         else:
             terms[w] = c
             if inadmissible:
-                buckets.setdefault(_rank(w), []).append(w)
-    if not buckets:
-        return DLElement._trusted(p, twist, terms)
+                queue.append(w)
+    if queue:
+        _rewrite(terms, queue, p, twist, strategy == "leftmost")
+    return DLElement._trusted(p, twist, terms)
 
-    leftmost = strategy == "leftmost"
+
+_NO_LEFT = -math.inf  # the bound a word's first letter meets
+
+
+@metered
+def _rewrite(terms: dict, queue: list, p: int, twist: int, leftmost: bool) -> None:
+    """Rewrite the queued words of terms, in place, until every word left is
+    admissible; the words that end with coefficient 0 are dropped.
+
+    buckets: rank -> the words first met at that rank.  An admissible word
+    is never expanded, so it stays in terms and collects its contributions
+    to the end."""
+    buckets: dict = {}
+    for w in queue:
+        buckets.setdefault(_rank(w), []).append(w)
     heap = list(buckets)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    with Meter() as meter:
-        while heap:
-            rank = heappop(heap)
-            for w in buckets.pop(rank):
-                c = terms.pop(w)
-                if not c:
+    meter = Meter.running
+    while heap:
+        rank = heappop(heap)
+        for w in buckets.pop(rank):
+            c = terms.pop(w)
+            if not c:
+                continue
+            meter.charge("rewriting")
+            # w's inadmissible junctions, in one scan.  An output word
+            # differs from w only in its pair, which is admissible: the
+            # word is admissible when no junction of w away from the
+            # pair is, and the two new junctions next to the pair are
+            # admissible.  By the choice of pos every inadmissible
+            # junction lies on one side of it, so rest_ok reads one end.
+            bad = [i for i in range(len(w) - 1)
+                   if w[i][1] > p * w[i + 1][1] - 2 * w[i + 1][0]]
+            if leftmost:
+                pos = bad[0]
+                rest_ok = bad[-1] <= pos + 1
+            else:
+                pos = bad[-1]
+                rest_ok = bad[0] >= pos - 1
+            head, tail = w[:pos], w[pos + 2:]
+            left = head[-1][1] if head else _NO_LEFT
+            cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
+            e1, r2 = w[pos]
+            # an output word's rank is rank + j2 + e_out - e1 (see
+            # above) with j2 = r2 - a2, that is base + e_out - a2
+            base = rank + r2 - e1
+            pairs, coeffs = _adem_expand(w[pos], w[pos + 1], twist, p)
+            for pair, k in zip(pairs, coeffs):
+                v = head + pair + tail
+                old = terms.get(v)
+                if old is not None:
+                    terms[v] = (old + c * k) % p
                     continue
-                meter.charge("rewriting")
-                # w's inadmissible junctions, in one scan.  An output word
-                # differs from w only in its pair, which is admissible: the
-                # word is admissible when no junction of w away from the
-                # pair is, and the two new junctions next to the pair are
-                # admissible.  By the choice of pos every inadmissible
-                # junction lies on one side of it, so rest_ok reads one end.
-                bad = [i for i in range(len(w) - 1)
-                       if w[i][1] > p * w[i + 1][1] - 2 * w[i + 1][0]]
-                if leftmost:
-                    pos = bad[0]
-                    rest_ok = bad[-1] <= pos + 1
-                else:
-                    pos = bad[-1]
-                    rest_ok = bad[0] >= pos - 1
-                head, tail = w[:pos], w[pos + 2:]
-                left = head[-1][1] if head else -math.inf
-                cap = p * tail[0][1] - 2 * tail[0][0] if tail else math.inf
-                e1, r2 = w[pos]
-                # an output word's rank is rank + j2 + e_out - e1 (see
-                # above) with j2 = r2 - a2, that is base + e_out - a2
-                base = rank + r2 - e1
-                pairs, coeffs = _adem_expand(w[pos], w[pos + 1], twist, p)
-                for pair, k in zip(pairs, coeffs):
-                    v = head + pair + tail
-                    old = terms.get(v)
-                    if old is not None:
-                        terms[v] = (old + c * k) % p
-                        continue
-                    terms[v] = c * k % p
-                    (e_out, a2), (_, b2) = pair
-                    if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
-                        r = base + e_out - a2
-                        bucket = buckets.get(r)
-                        if bucket is None:
-                            buckets[r] = [v]
-                            heappush(heap, r)
-                        else:
-                            bucket.append(v)
+                terms[v] = c * k % p
+                (e_out, a2), (_, b2) = pair
+                if not rest_ok or left > p * a2 - 2 * e_out or b2 > cap:
+                    r = base + e_out - a2
+                    bucket = buckets.get(r)
+                    if bucket is None:
+                        buckets[r] = [v]
+                        heappush(heap, r)
+                    else:
+                        bucket.append(v)
     for w in [w for w, c in terms.items() if not c]:
         del terms[w]
-    return DLElement._trusted(p, twist, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ def lower_from_upper(eps: int, s2: int, n: int, p: int):
     index = m*(p-1) for multiplier m = 2s - n = s2 - n.  is_zero reports
     whether the lower operation is the zero operation on degree-n classes.
     """
-    _check_entry((eps, s2))
+    _check_word(((eps, s2),))
     _check_int("n", n)
     check_odd_prime(p)
     m = s2 - n

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .arith import _check_int, check_odd_prime, is_int
 from .dlalgebra import (_check_coeff, _check_word, _find_inadmissible, _read_terms, excess,
                         word_degree)
-from .errors import ContractError, Meter, ValidationError, charge
+from .errors import ContractError, Meter, ValidationError, charge, metered
 from .grading import GradingGroup, TwistCharacter
 
 
@@ -131,6 +131,7 @@ def qclass_str(qc: QClass) -> str:
     return f"{word_str(qc.word)} {qc.gen.name}" if qc.word else qc.gen.name
 
 
+@metered
 def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
                      strict: bool):
     """The admissible words I with Q^I x of degree <= max_degree and charge
@@ -163,29 +164,29 @@ def _enumerate_words(ctx: Context, gen: Generator, max_degree, max_charge,
 
     if max_charge < 1 or n > cap(levels):
         return []
-    with Meter() as meter:
-        meter.charge("enumeration")
-        level = [((), n)]
-        out = level[:] if n <= max_degree else []
-        for rem in range(levels - 1, -1, -1):
-            top = cap(rem)
-            longer = []
-            for word, m in level:
-                for eps in (0, 1):
-                    lo = m + (1 if strict else eps)
-                    lo += (lo - par) % 2
-                    # the new degree m + s2 (p - 1) - eps is at most top
-                    hi = (top - m + eps) // (p - 1)
-                    if word:
-                        hi = min(hi, p * word[0][1] - 2 * word[0][0])
-                    for s2 in range(lo, hi + 1, 2):
-                        m2 = m + s2 * (p - 1) - eps
-                        meter.charge("enumeration")
-                        pair = (((eps, s2),) + word, m2)
-                        if m2 <= max_degree:
-                            out.append(pair)
-                        longer.append(pair)
-            level = longer
+    meter = Meter.running
+    meter.charge("enumeration")
+    level = [((), n)]
+    out = level[:] if n <= max_degree else []
+    for rem in range(levels - 1, -1, -1):
+        top = cap(rem)
+        longer = []
+        for word, m in level:
+            for eps in (0, 1):
+                lo = m + (1 if strict else eps)
+                lo += (lo - par) % 2
+                # the new degree m + s2 (p - 1) - eps is at most top
+                hi = (top - m + eps) // (p - 1)
+                if word:
+                    hi = min(hi, p * word[0][1] - 2 * word[0][0])
+                for s2 in range(lo, hi + 1, 2):
+                    m2 = m + s2 * (p - 1) - eps
+                    meter.charge("enumeration")
+                    pair = (((eps, s2),) + word, m2)
+                    if m2 <= max_degree:
+                        out.append(pair)
+                    longer.append(pair)
+        level = longer
     return out
 
 
@@ -197,14 +198,14 @@ def _qset_degrees(ctx: Context, max_degree, max_charge):
     return out
 
 
+@metered  # one budget for the searches of all the generators
 def enumerate_qset(ctx: Context, max_degree, max_charge):
     """All Q^I x with internal degree <= max_degree and charge <= max_charge,
     x a generator of ctx."""
     _check_context(ctx)
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
-    with Meter():  # one budget for the searches of all the generators
-        return [qc for qc, _ in _qset_degrees(ctx, max_degree, max_charge)]
+    return [qc for qc, _ in _qset_degrees(ctx, max_degree, max_charge)]
 
 
 def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge):
@@ -365,10 +366,12 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, ctx):
+        _check_context(ctx)
         return cls._trusted(ctx, {})
 
     @classmethod
     def unit(cls, ctx):
+        _check_context(ctx)
         return cls._trusted(ctx, {(): 1})
 
     @classmethod
@@ -482,13 +485,13 @@ def _multiply_into(out: dict, a: AlgebraElement, b: AlgebraElement, k: int,
                 out[mono] = (get(mono, 0) + sign * kca * cb) % p
 
 
+@metered
 def multiply(a: AlgebraElement, b: AlgebraElement, ctx: Context) -> AlgebraElement:
     """The product a * b, by _multiply_into into a new dict."""
     _check_element(a, ctx)
     _check_element(b, ctx)
     out: dict = {}
-    with Meter():
-        _multiply_into(out, a, b, 1, ctx)
+    _multiply_into(out, a, b, 1, ctx)
     return _from_sums(ctx, out)
 
 
@@ -533,6 +536,7 @@ def _candidates(ctx: Context, max_degree, max_charge):
     return nu, cands
 
 
+@metered
 def _enumerate_monomials(ctx: Context, max_degree, max_charge):
     """List (factors, g, n, charge) for every monomial with n <= max_degree
     and charge <= max_charge, the empty one included if max_charge >= 0.
@@ -540,30 +544,30 @@ def _enumerate_monomials(ctx: Context, max_degree, max_charge):
     Each word the search builds and each node of the walk costs a unit of
     the meter.
     """
-    with Meter() as meter:
-        nu, cands = _candidates(ctx, max_degree, max_charge)
-        add = ctx.group.add
-        results = []
+    meter = Meter.running
+    nu, cands = _candidates(ctx, max_degree, max_charge)
+    add = ctx.group.add
+    results = []
 
-        def walk(i, factors, g, n, charge):
-            meter.charge("monomial enumeration")
-            if n <= max_degree:
-                results.append((factors, g, n, charge))
-            for j in range(i, len(cands)):
-                qc, bg, bn, bk, powers = cands[j]
-                f2, g2, n2, c2 = factors, g, n, charge
-                for _ in powers:
-                    # the degree bound of poincare_table: a node that fails it
-                    # has n2 > max_degree (nu <= 0) and so does every node
-                    # below it, and it fails for every larger power too
-                    c2, n2 = c2 + bk, n2 + bn
-                    if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
-                        break
-                    f2, g2 = f2 + (qc,), add(g2, bg)
-                    walk(j + 1, f2, g2, n2, c2)
+    def walk(i, factors, g, n, charge):
+        meter.charge("monomial enumeration")
+        if n <= max_degree:
+            results.append((factors, g, n, charge))
+        for j in range(i, len(cands)):
+            qc, bg, bn, bk, powers = cands[j]
+            f2, g2, n2, c2 = factors, g, n, charge
+            for _ in powers:
+                # the degree bound of poincare_table: a node that fails it
+                # has n2 > max_degree (nu <= 0) and so does every node
+                # below it, and it fails for every larger power too
+                c2, n2 = c2 + bk, n2 + bn
+                if c2 > max_charge or n2 + nu * (max_charge - c2) > max_degree:
+                    break
+                f2, g2 = f2 + (qc,), add(g2, bg)
+                walk(j + 1, f2, g2, n2, c2)
 
-        if max_charge >= 0:
-            walk(0, (), ctx.group.zero(), 0, 0)
+    if max_charge >= 0:
+        walk(0, (), ctx.group.zero(), 0, 0)
     return results
 
 
@@ -586,6 +590,7 @@ def basis(bidegree, max_charge, ctx: Context):
     return out
 
 
+@metered
 def poincare_table(ctx: Context, max_degree, max_charge):
     """Dimensions of the free-algebra homology per (g, n, charge).
 
@@ -611,36 +616,36 @@ def poincare_table(ctx: Context, max_degree, max_charge):
     _check_context(ctx)
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
-    with Meter() as meter:
-        nu, cands = _candidates(ctx, max_degree, max_charge)
-        add = ctx.group.add
-        layers = {0: {(ctx.group.zero(), 0): 1}} if max_charge >= 0 else {}
-        steps = {}  # bg -> {g: g + bg}, shared by the classes of one grading
-        for _, bg, bn, bk, powers in cands:
-            meter.charge("table count", sum(map(len, layers.values())))
-            repeat = len(powers) > 1  # else b enters a monomial at most once
-            step = steps.setdefault(bg, {})
-            last = max_charge - bk  # the top charge that may take b
-            # a sorted list is a heap: upward by heappop, downward by pop
-            charges = sorted([c for c in layers if c <= last])
-            while charges:
-                c = heapq.heappop(charges) if repeat else charges.pop()
-                # an entry (g, n) of charge c may take b iff n <= bound
-                bound = max_degree - nu * (last - c) - bn
-                dst = layers.get(c + bk)
-                fresh = dst is None
-                if fresh:
-                    dst = {}
-                for (g, n), dim in layers[c].items():
-                    if n <= bound:
-                        h = step.get(g)
-                        if h is None:
-                            h = step[g] = add(g, bg)
-                        key = (h, n + bn)
-                        dst[key] = dst.get(key, 0) + dim
-                if fresh and dst:
-                    layers[c + bk] = dst
-                    if repeat and c + bk <= last:
-                        heapq.heappush(charges, c + bk)
+    meter = Meter.running
+    nu, cands = _candidates(ctx, max_degree, max_charge)
+    add = ctx.group.add
+    layers = {0: {(ctx.group.zero(), 0): 1}} if max_charge >= 0 else {}
+    steps = {}  # bg -> {g: g + bg}, shared by the classes of one grading
+    for _, bg, bn, bk, powers in cands:
+        meter.charge("table count", sum(map(len, layers.values())))
+        repeat = len(powers) > 1  # else b enters a monomial at most once
+        step = steps.setdefault(bg, {})
+        last = max_charge - bk  # the top charge that may take b
+        # a sorted list is a heap: upward by heappop, downward by pop
+        charges = sorted([c for c in layers if c <= last])
+        while charges:
+            c = heapq.heappop(charges) if repeat else charges.pop()
+            # an entry (g, n) of charge c may take b iff n <= bound
+            bound = max_degree - nu * (last - c) - bn
+            dst = layers.get(c + bk)
+            fresh = dst is None
+            if fresh:
+                dst = {}
+            for (g, n), dim in layers[c].items():
+                if n <= bound:
+                    h = step.get(g)
+                    if h is None:
+                        h = step[g] = add(g, bg)
+                    key = (h, n + bn)
+                    dst[key] = dst.get(key, 0) + dim
+            if fresh and dst:
+                layers[c + bk] = dst
+                if repeat and c + bk <= last:
+                    heapq.heappush(charges, c + bk)
     return {(g, n, c): dim for c, layer in layers.items()
             for (g, n), dim in layer.items() if n <= max_degree}

@@ -5,12 +5,16 @@ API, with one malformed argument, and expects the exact DyerLashofError
 subclass: ValidationError for bad input, ContractError for an argument of
 the wrong kind of object (a context, an element).  No row may end in a
 TypeError, AttributeError, KeyError or ValueError, nor return a value.
+The last test pins what the checks take: an int subclass acts as its int,
+and a bool or a float is refused.
 """
+
+from enum import IntEnum
 
 import pytest
 
 from dyerlashof.action import apply_op, apply_word, suspension_check
-from dyerlashof.appcalc import point_context
+from dyerlashof.appcalc import alternating_table, point_context, sym_sign_table, sym_trivial_table
 from dyerlashof.arith import HalfInt
 from dyerlashof.cli import parse_element, parse_word
 from dyerlashof.dlalgebra import (
@@ -85,6 +89,8 @@ ROWS = [
     ("AlgebraElement-list", V, lambda: AlgebraElement(CTX, [1])),
     ("AlgebraElement-float-coeff", V, lambda: AlgebraElement(CTX, {(X,): 1.5})),
     ("AlgebraElement-bare-class", C, lambda: AlgebraElement(CTX, {X: 1})),
+    ("zero-ctx", C, lambda: AlgebraElement.zero("c")),
+    ("unit-ctx", C, lambda: AlgebraElement.unit("c")),
     ("from_monomial-ctx", C, lambda: AlgebraElement.from_monomial("c", (X,))),
     ("from_monomial-bare-class", C, lambda: AlgebraElement.from_monomial(CTX, X)),
     ("scale-float", V, lambda: ELT.scale(1.5)),
@@ -105,9 +111,14 @@ ROWS = [
     ("apply_word-list", V, lambda: apply_word([1], ELT, CTX)),
     ("apply_word-not-element", C, lambda: apply_word(WORD, "x", CTX)),
     ("suspension_check-ctx", C, lambda: suspension_check("c", 4, 4)),
+    # the group-homology tables
+    ("sym_sign_table-cutoff", V, lambda: sym_sign_table(3, 2, None)),
+    ("sym_trivial_table-cutoff", V, lambda: sym_trivial_table(3, None, 5)),
+    ("alternating_table-cutoff", V, lambda: alternating_table(3, 2, None)),
     # the parsers
     ("parse_element-not-text", V, lambda: parse_element(5, CTX)),
     ("parse_element-syntax", V, lambda: parse_element("x +", CTX)),
+    ("parse_element-ctx", C, lambda: parse_element("x", "c")),
     ("parse_word-not-text", V, lambda: parse_word(None)),
     ("parse_word-syntax", V, lambda: parse_word("Q^{2} x")),
 ]
@@ -155,3 +166,46 @@ def test_both_algebras_read_none_and_empty_as_zero():
     for terms in (None, {}):
         assert DLElement(3, -1, terms).is_zero
         assert AlgebraElement(CTX, terms).is_zero
+
+
+def _enum(value):
+    """value as a member of an IntEnum: an int subclass that is not a bool."""
+    return IntEnum("E", {"V": value}).V
+
+
+def _act(eps):
+    ctx = point_context(3, 1, 20, 9)  # fresh, so that its caches start empty
+    x = AlgebraElement.from_monomial(ctx, (QClass(ctx.generator("x"), ()),))
+    return apply_op(eps, HalfInt(2), x, ctx).terms
+
+
+def _metered_table(budget):
+    with Meter(budget) as meter:
+        table = poincare_table(point_context(3, -1, 10, 9), 10, 9)
+    return table, meter.counts, meter.left
+
+
+# (place, int the boundary takes there, what a call with it returns, error
+# class of a bool or a float there).  Q^4 Q^1 at p = 3 and Q^6 Q^1 at p = 5
+# are inadmissible, so the DLElement places are rewritten.
+PLACES = [
+    ("letter-eps", 0, lambda v: normalize(DLElement(3, 1, {((v, 8), (0, 2)): 1})), V),
+    ("letter-index", 8, lambda v: normalize(DLElement(3, 1, {((0, v), (0, 2)): 1})), V),
+    ("coefficient", 2, lambda v: normalize(DLElement(3, 1, {((0, 8), (0, 2)): v})), V),
+    ("p", 5, lambda v: normalize(DLElement(v, 1, {((0, 12), (0, 2)): 1})), V),
+    ("twist", 1, lambda v: normalize(DLElement(3, v, {((0, 8), (0, 2)): 1})), V),
+    ("eps", 1, _act, C),
+    ("budget", 10**4, _metered_table, V),
+]
+
+
+@pytest.mark.parametrize("value,build,error", [row[1:] for row in PLACES],
+                         ids=[row[0] for row in PLACES])
+def test_the_boundary_takes_int_subclasses_and_refuses_bools_and_floats(value, build, error):
+    # the int first, so the IntEnum call meets the caches it filled, and no
+    # cache keeps an IntEnum member for a later test to read
+    want = build(value)
+    assert build(_enum(value)) == want
+    for bad in (bool(value), float(value)):
+        with pytest.raises(error):
+            build(bad)
