@@ -1,9 +1,11 @@
 """Applying operations beta^eps Q^s to elements of the free algebra.
 
 The action is computed termwise.  On the unit monomial only Q^0 is nonzero.
-On a single factor Q^I x the new letter is prepended and the word rewritten
-to admissible form; each admissible output word J is then read off against
-the degree n of x: strict excess (e(J) + eps_1 > n) gives a basis class,
+On any other monomial m, beta^eps Q^s m = 0 when 2s < |m| + eps (May's
+vanishing law), read off before any work is done.  On a single factor
+Q^I x the new letter is prepended and the word rewritten to admissible
+form; each admissible output word J is then read off against the degree n
+of x: strict excess (e(J) + eps_1 > n) gives a basis class,
 equality with eps_1 = 0 gives a p-th power (iterated, per the excess lemma),
 anything else is zero.  Every monomial is read as a product of blocks:
 a run of r equal factors y (sorted, so adjacent) gives one block y^(p^i)
@@ -14,7 +16,10 @@ divides 2s, and 0 otherwise.  The Cartan formula splits off the first
 block and applies the rest of the operation to the remaining ones; the
 block suffixes of the monomial are summed shortest first, so each finds
 the next shorter one cached.  The range of each inner sum is finite
-because operations below the degree of their argument vanish.
+because operations below the degree of their argument vanish, and a
+pair of pieces one of which is zero is skipped.  The twist sign of the
+formula, stated through the shuffle (g+h)^p -> g^p + h^p, is +1 at every
+index the sum reaches, so it is not computed.
 """
 
 from __future__ import annotations
@@ -41,14 +46,24 @@ from .freealg import (
 @metered
 def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """beta^eps Q^s acting on an element of ctx; linear over F_p."""
+    s2 = s.twice if isinstance(s, HalfInt) else None
+    # exact ints are settled by their types, anything else by _checked_op
+    if not (type(eps) is int and eps in (0, 1) and type(s2) is int):
+        eps, s2 = _checked_op(eps, s)
+    _check_element(e, ctx)
+    return _combine(ctx, [(c, _apply_monomial(eps, s2, mono, ctx))
+                          for mono, c in e.terms.items()])
+
+
+def _checked_op(eps, s):
+    """(eps, 2s) as plain ints, or ContractError unless eps is 0 or 1 and s
+    a HalfInt, each by is_int.  An int subclass is stored as int, as
+    _check_word stores it: the caches keep the first key object they meet."""
     if not is_int(eps) or eps not in (0, 1):
         raise ContractError(f"eps must be 0 or 1, got {eps}")
     if not (isinstance(s, HalfInt) and is_int(s.twice)):
         raise ContractError(f"operation index must be a HalfInt, got {s!r}")
-    _check_element(e, ctx)
-    s2 = s.twice
-    return _combine(ctx, [(c, _apply_monomial(eps, s2, mono, ctx))
-                          for mono, c in e.terms.items()])
+    return int(eps), int(s.twice)
 
 
 def _realize_word(word, gen, ctx: Context):
@@ -166,6 +181,11 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
         if eps == 0 and s2 == 0:
             return AlgebraElement._trusted(ctx, {(): 1})
         return AlgebraElement._trusted(ctx, {})
+    # the vanishing law: beta^eps Q^s m = 0 when 2s < |m| + eps, read off
+    # before the blocks are found or any unit is charged
+    data = ctx.class_data
+    if s2 < sum([data[qc][1] for qc in mono]) + eps:
+        return AlgebraElement._trusted(ctx, {})
     # _apply_monomial has read off an index of the wrong parity.  The
     # Cartan formula is summed over blocks: a run of p or more equal factors
     # (sorted, so adjacent) is split into p^i-th powers, each acted on by
@@ -174,7 +194,7 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     starts, qs = _blocks(mono, p)
     if len(qs) == 1:
         return _apply_power(eps, s2, mono[0], qs[0], ctx)
-    rows = [ctx.class_data[mono[i]] for i in starts]
+    rows = [data[mono[i]] for i in starts]
     ns = [q * row[1] for q, row in zip(qs, rows)]
     pars = [q * row[2] for q, row in zip(qs, rows)]
     # each block suffix's degree and parity, by a running sum from the
@@ -184,7 +204,6 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
     n_suf = [*accumulate(reversed(ns), initial=0)][::-1]
     par_suf = [*accumulate(reversed(pars), initial=0)][::-1]
     los = [n + (n - par) % 2 for n, par in zip(ns, pars)]
-    half = (p - 1) // 2
     cache = ctx._monomial_op_cache
 
     def pieces(i, e, t):
@@ -196,21 +215,27 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
 
     def cartan(i, e, t, rest):
         # beta^e Q^{t/2} on blocks i.., splitting off block i, f^q;
-        # rest[(e2, k2)] is beta^e2 Q^{k2/2} on blocks i+1...  The formula
-        # is stated through the shuffle (g+h)^p -> g^p + h^p, which scales
-        # the twisted line by the braiding form p(p-1)/2 times
+        # rest[(e2, k2)] is beta^e2 Q^{k2/2} on blocks i+1...  Stated
+        # through the shuffle (g+h)^p -> g^p + h^p, the formula carries the
+        # twist sign (-1)^((par_i par_rest + j2 k2)(p-1)/2), par_rest the
+        # parity of blocks i+1..; it is +1 at every index reached.  j2 runs
+        # from los[i] in steps of 2q, so j2 = par_i mod 2; t has the parity
+        # of blocks i.. (by _apply_monomial's parity check at the top and by
+        # the ranges of the suffix loop below), so k2 = t - j2 = par_rest
+        # mod 2, and the exponent is 2 par_i par_rest (p-1)/2, even.  A pair
+        # of pieces one of which is zero adds nothing and is skipped
         f, q = mono[starts[i]], qs[i]
-        shuffle = -1 if (pars[i] * par_suf[i + 1] * half) % 2 else 1
         out = {}  # every piece is multiplied into this one dict
         for j2 in range(los[i], t - n_suf[i + 1] + 1, 2 * q):
             k2 = t - j2
-            sign = shuffle * (-1 if (j2 * k2 * half) % 2 else 1)
             for e1 in range(e, -1, -1) if q == 1 else (0,):
                 # beta^e acts as beta^e1 on f^q and beta^e2 on the rest; a
                 # beta moved past f^q picks up (-1)^n(f^q)
                 e2 = e - e1
-                _multiply_into(out, _apply_power(e1, j2, f, q, ctx), rest[(e2, k2)],
-                               -sign if e2 * ns[i] % 2 else sign, ctx)
+                left = _apply_power(e1, j2, f, q, ctx)
+                right = rest[(e2, k2)]
+                if left.terms and right.terms:
+                    _multiply_into(out, left, right, -1 if e2 * ns[i] % 2 else 1, ctx)
         return _from_sums(ctx, out)
 
     # The top reads blocks 1.. at each of its splits, each of those reads
@@ -256,8 +281,7 @@ def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
 def apply_word(word, e: AlgebraElement, ctx: Context) -> AlgebraElement:
     """Apply a composite of operations, innermost (rightmost) letter first."""
     _check_element(e, ctx)
-    _check_word(word)
-    for eps, s2 in reversed(word):
+    for eps, s2 in reversed(_check_word(word)):
         e = apply_op(eps, HalfInt(s2), e, ctx)
     return e
 

@@ -46,15 +46,30 @@ Entry = tuple[int, int]  # (eps, s2) with s2 = 2s
 
 def _check_word(word) -> tuple:
     """word, or ValidationError unless it is a tuple of letters (eps, 2s):
-    pairs of ints, not bools, with eps 0 or 1.  Each letter is one test that
-    calls nothing but is_int."""
+    pairs of ints, not bools, with eps 0 or 1.  A letter that is a tuple of
+    two exact ints is settled by their types; a word with any other letter
+    is checked and rebuilt by _rebuilt_word."""
     if not isinstance(word, tuple):
         raise ValidationError(f"bad operation word {word!r}; want a tuple of (eps, 2s)")
+    for letter in word:
+        if not (type(letter) is tuple and len(letter) == 2 and type(letter[0]) is int
+                and letter[0] in (0, 1) and type(letter[1]) is int):
+            return _rebuilt_word(word)
+    return word
+
+
+def _rebuilt_word(word) -> tuple:
+    """word with each letter a tuple of two plain ints, or ValidationError
+    unless each letter passes is_int.  An int subclass (an IntEnum, say) is
+    stored as int: the global caches keep the first letter object they meet
+    and would hand it to every later call with an equal letter."""
+    out = []
     for letter in word:
         if not (isinstance(letter, tuple) and len(letter) == 2 and is_int(letter[0])
                 and letter[0] in (0, 1) and is_int(letter[1])):
             raise ValidationError(f"bad operation letter {letter!r}; want (eps, 2s)")
-    return word
+        out.append((int(letter[0]), int(letter[1])))
+    return tuple(out)
 
 
 def _check_twist(twist) -> None:
@@ -226,7 +241,7 @@ def adem_expand(outer: Entry, inner: Entry, twist: int, p: int):
     """
     # checked as DLElement checks them, before the cache, which would find a
     # bool's equal int key
-    _check_word((outer, inner))
+    outer, inner = _check_word((outer, inner))
     _check_twist(twist)
     check_odd_prime(p)
     return tuple(zip(*_adem_expand(outer, inner, twist, p)))

@@ -444,28 +444,38 @@ def _merge_monomials(a, b, ctx: Context):
     an equal factor of a, and only there is it checked.  y moving past the
     factors of a left after it has Koszul sign (-1)^(n_y*sum n + par_y*sum par)."""
     data = ctx.class_data
-    rows = [data[x] for x in a]
-    n_left = sum([r[1] for r in rows])
-    par_left = sum([r[2] for r in rows])
+    # a's class rows and both sums in one pass; each row is then read once
+    rows = []
+    n_left = par_left = 0
+    for x in a:
+        row = data[x]
+        rows.append(row)
+        n_left += row[1]
+        par_left += row[2]
     e = 0
     out = []
     i = 0
+    la = len(a)
     for k, y in enumerate(b):
-        if i == len(a):  # the rest of b moves past nothing
-            out.extend(b[k:])
+        if i == la:  # the rest of b moves past nothing
+            out += b[k:]
             break
         key, n, par, repeatable = data[y]
         j = i
-        while i < len(a) and rows[i][0] <= key:
-            n_left -= rows[i][1]
-            par_left -= rows[i][2]
+        while i < la:
+            row = rows[i]
+            if row[0] > key:
+                break
+            n_left -= row[1]
+            par_left -= row[2]
             i += 1
-        out.extend(a[j:i])
-        if i > j and a[i - 1] == y and not repeatable:
-            return None
+        if i > j:
+            if a[i - 1] == y and not repeatable:
+                return None
+            out += a[j:i]
         e += n * n_left + par * par_left
         out.append(y)
-    out.extend(a[i:])
+    out += a[i:]
     return tuple(out), -1 if e % 2 else 1
 
 

@@ -18,6 +18,7 @@ from dyerlashof.appcalc import alternating_table, point_context, sym_sign_table,
 from dyerlashof.arith import HalfInt
 from dyerlashof.cli import parse_element, parse_word
 from dyerlashof.dlalgebra import (
+    _LETTERS,
     DLElement,
     adem_expand,
     adem_expand_lower,
@@ -209,3 +210,30 @@ def test_the_boundary_takes_int_subclasses_and_refuses_bools_and_floats(value, b
     for bad in (bool(value), float(value)):
         with pytest.raises(error):
             build(bad)
+
+
+def _letter_types(words):
+    return {type(v) for word in words for letter in word for v in letter}
+
+
+def test_an_int_subclass_is_stored_as_int():
+    # the IntEnum calls first, into empty Adem caches and a fresh context:
+    # each cache keeps the first key object it meets, so an IntEnum stored
+    # there would come back in the later calls' results
+    adem_expand.cache_clear()
+    _LETTERS.clear()
+    ctx = point_context(3, 1, 20, 9)
+    x = AlgebraElement.from_monomial(ctx, (QClass(ctx.generator("x"), ()),))
+    calls = [
+        lambda z, one, four, ten: list(normalize(DLElement(3, 1, {((z, four), (z, z)): 1})).terms),
+        lambda z, one, four, ten: [w for w, _ in adem_expand((z, ten), (z, 2), 1, 3)],
+        lambda z, one, four, ten: [
+            q.word for m in apply_op(one, HalfInt(four), x, ctx).terms for q in m],
+        lambda z, one, four, ten: [
+            q.word for m in apply_word(((z, ten), (one, four)), x, ctx).terms for q in m],
+    ]
+    for call in calls:
+        leaked = call(_enum(0), _enum(1), _enum(4), _enum(10))
+        plain = call(0, 1, 4, 10)
+        assert leaked == plain and plain
+        assert _letter_types(leaked) == _letter_types(plain) == {int}
