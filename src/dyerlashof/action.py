@@ -15,11 +15,19 @@ Frobenius identity, beta^eps Q^s(y^q) = (Q^{s/q} y)^q when eps = 0 and q
 divides 2s, and 0 otherwise.  The Cartan formula splits off the first
 block and applies the rest of the operation to the remaining ones; the
 block suffixes of the monomial are summed shortest first, so each finds
-the next shorter one cached.  The range of each inner sum is finite
+the next shorter one memoized.  The range of each inner sum is finite
 because operations below the degree of their argument vanish, and a
 pair of pieces one of which is zero is skipped.  The twist sign of the
 formula, stated through the shuffle (g+h)^p -> g^p + h^p, is +1 at every
 index the sum reaches, so it is not computed.
+
+The action is memoized per context, in one record per monomial (_Record):
+its degree and twist parity, summed once; its results, keyed (eps, 2s);
+and its block plan (_Plan), built on its first Cartan step: the blocks,
+their degrees and least indices, the running sums and steps, and the
+records of its block suffixes, which the Cartan step reads and fills.  So
+an op that the parity rule or the vanishing law makes zero costs one
+lookup, and a Cartan step does only the work that depends on (eps, s).
 """
 
 from __future__ import annotations
@@ -51,8 +59,13 @@ def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraEl
     if not (type(eps) is int and eps in (0, 1) and type(s2) is int):
         eps, s2 = _checked_op(eps, s)
     _check_element(e, ctx)
+    terms = e.terms
+    if len(terms) == 1:
+        [(mono, c)] = terms.items()
+        if c == 1:  # the memo's terms, copied: a result shares no dict with it
+            return AlgebraElement._trusted(ctx, _apply_monomial(eps, s2, mono, ctx).terms.copy())
     return _combine(ctx, [(c, _apply_monomial(eps, s2, mono, ctx))
-                          for mono, c in e.terms.items()])
+                          for mono, c in terms.items()])
 
 
 def _checked_op(eps, s):
@@ -115,18 +128,48 @@ def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
     return AlgebraElement._trusted(ctx, out)
 
 
+class _Record:
+    """One monomial's entry in ctx._monomial_op_cache: its degree n and its
+    twist parity par (summed over its factors, not reduced), its results
+    keyed (eps, s2), and its block plan (_Plan), built on its first Cartan
+    step.  A record made for a block suffix takes its sums from the plan
+    that made it, with no second pass over its factors."""
+
+    __slots__ = ("n", "par", "results", "plan")
+
+    def __init__(self, n, par):
+        self.n = n
+        self.par = par
+        self.results = {}
+        self.plan = None
+
+
 def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
-    # an index of the wrong parity gives zero: read off here, from the class
-    # data, and not cached, since a cache lookup and store would each hash
-    # the whole monomial
-    data = ctx.class_data
-    if (s2 - sum([data[qc][2] for qc in mono])) % 2:
-        return AlgebraElement._trusted(ctx, {})
+    # one lookup, one hash of the monomial, reads both zeros: an index of
+    # the wrong parity (not stored: the Cartan step never asks for one) and
+    # the vanishing law, 2s < |m| + eps (stored, so that a Cartan step that
+    # reads it as a suffix finds it and charges nothing, as at its first
+    # reading).  Results are never mutated, so they are shared
     cache = ctx._monomial_op_cache
-    key = (eps, s2, mono)
-    hit = cache.get(key)
+    rec = cache.get(mono)
+    if rec is None:
+        data = ctx.class_data
+        n = par = 0
+        for qc in mono:
+            row = data[qc]
+            n += row[1]
+            par += row[2]
+        rec = cache[mono] = _Record(n, par)
+    if (s2 - rec.par) % 2:
+        return AlgebraElement._trusted(ctx, {})
+    results = rec.results
+    hit = results.get((eps, s2))
     if hit is None:
-        hit = cache[key] = _apply_monomial_raw(eps, s2, mono, ctx)
+        if s2 < rec.n + eps:
+            hit = AlgebraElement._trusted(ctx, {})
+        else:
+            hit = _apply_monomial_raw(eps, s2, mono, rec, ctx)
+        results[eps, s2] = hit
     return hit
 
 
@@ -176,105 +219,123 @@ def _blocks(mono, p):
     return starts, qs
 
 
-def _apply_monomial_raw(eps, s2, mono, ctx: Context) -> AlgebraElement:
+class _Plan:
+    """What the Cartan step on a monomial reads that does not depend on the
+    operation, built once per monomial and context.  Per block i: its
+    factor fs[i] and size qs[i], its degree ns[i] and its least index
+    los[i] (its degree rounded up to its parity; a block of q > 1 factors
+    takes only indices q j2 with j2 of its parity, a step of 2q).  Per
+    block suffix i..: its degree n_suf[i] (a running sum from the right,
+    n_suf[last + 1] = 0), its least index leasts[i], the sum offs[i] of
+    the least indices of the blocks before it, the step steps[i - 1] of the
+    indices it is read at (twice the least block size before it), and its
+    record suffixes[i], found or made in the context's memo."""
+
+    __slots__ = ("fs", "qs", "ns", "los", "n_suf", "leasts", "offs", "steps", "suffixes")
+
+    def __init__(self, mono, ctx: Context):
+        starts, qs = _blocks(mono, ctx.p)
+        data = ctx.class_data
+        self.fs = fs = [mono[i] for i in starts]
+        self.qs = qs
+        rows = [data[f] for f in fs]
+        self.ns = ns = [q * row[1] for q, row in zip(qs, rows)]
+        pars = [q * row[2] for q, row in zip(qs, rows)]
+        # parities are summed, not reduced
+        self.n_suf = n_suf = [*accumulate(reversed(ns), initial=0)][::-1]
+        par_suf = [*accumulate(reversed(pars), initial=0)][::-1]
+        self.los = los = [n + (n - par) % 2 for n, par in zip(ns, pars)]
+        self.leasts = [n + (n - par) % 2 for n, par in zip(n_suf, par_suf)]
+        self.offs = [*accumulate(los, initial=0)]
+        self.steps = [*accumulate([2 * q for q in qs], min)]
+        cache = ctx._monomial_op_cache
+        self.suffixes = suffixes = [None]
+        for i in range(1, len(qs)):
+            suffix = mono[starts[i]:]
+            rec = cache.get(suffix)
+            if rec is None:
+                rec = cache[suffix] = _Record(n_suf[i], par_suf[i])
+            suffixes.append(rec)
+
+
+def _pieces(plan: _Plan, i, e, t):
+    # the pieces of beta^e Q^{t/2} on blocks i.., counted without
+    # len(range), which overflows on a huge index; the identity leaves no
+    # beta on a block of q > 1
+    q = plan.qs[i]
+    return max(0, (t - plan.n_suf[i + 1] - plan.los[i]) // (2 * q) + 1) * (e + 1 if q == 1 else 1)
+
+
+def _cartan(plan: _Plan, i, e, t, rest, ctx: Context) -> AlgebraElement:
+    # beta^e Q^{t/2} on blocks i.., splitting off block i, f^q; rest[(e2,
+    # k2)] is beta^e2 Q^{k2/2} on blocks i+1...  Stated through the shuffle
+    # (g+h)^p -> g^p + h^p, the formula carries the twist sign
+    # (-1)^((par_i par_rest + j2 k2)(p-1)/2), par_rest the parity of blocks
+    # i+1..; it is +1 at every index reached.  j2 runs from los[i] in steps
+    # of 2q, so j2 = par_i mod 2; t has the parity of blocks i.. (by
+    # _apply_monomial's parity check at the top and by the ranges of the
+    # suffix loop of _apply_monomial_raw), so k2 = t - j2 = par_rest mod 2,
+    # and the exponent is 2 par_i par_rest (p-1)/2, even.  A pair of pieces
+    # one of which is zero adds nothing and is skipped
+    f, q, n_i = plan.fs[i], plan.qs[i], plan.ns[i]
+    out = {}  # every piece is multiplied into this one dict
+    for j2 in range(plan.los[i], t - plan.n_suf[i + 1] + 1, 2 * q):
+        k2 = t - j2
+        for e1 in range(e, -1, -1) if q == 1 else (0,):
+            # beta^e acts as beta^e1 on f^q and beta^e2 on the rest; a beta
+            # moved past f^q picks up (-1)^n(f^q)
+            e2 = e - e1
+            left = _apply_power(e1, j2, f, q, ctx)
+            right = rest[e2, k2]
+            if left.terms and right.terms:
+                _multiply_into(out, left, right, -1 if e2 * n_i % 2 else 1, ctx)
+    return _from_sums(ctx, out)
+
+
+def _apply_monomial_raw(eps, s2, mono, rec: _Record, ctx: Context) -> AlgebraElement:
     if not mono:
         if eps == 0 and s2 == 0:
             return AlgebraElement._trusted(ctx, {(): 1})
         return AlgebraElement._trusted(ctx, {})
-    # the vanishing law: beta^eps Q^s m = 0 when 2s < |m| + eps, read off
-    # before the blocks are found or any unit is charged
-    data = ctx.class_data
-    if s2 < sum([data[qc][1] for qc in mono]) + eps:
-        return AlgebraElement._trusted(ctx, {})
-    # _apply_monomial has read off an index of the wrong parity.  The
-    # Cartan formula is summed over blocks: a run of p or more equal factors
-    # (sorted, so adjacent) is split into p^i-th powers, each acted on by
-    # _apply_power; any other factor is a block of its own
-    p = ctx.p
-    starts, qs = _blocks(mono, p)
+    # _apply_monomial has read off an index of the wrong parity and the
+    # vanishing law.  The Cartan formula is summed over blocks: a run of p
+    # or more equal factors (sorted, so adjacent) is split into p^i-th
+    # powers, each acted on by _apply_power; any other factor is a block of
+    # its own.  The plan is built before any unit is charged
+    plan = rec.plan
+    if plan is None:
+        plan = rec.plan = _Plan(mono, ctx)
+    qs = plan.qs
     if len(qs) == 1:
-        return _apply_power(eps, s2, mono[0], qs[0], ctx)
-    rows = [data[mono[i]] for i in starts]
-    ns = [q * row[1] for q, row in zip(qs, rows)]
-    pars = [q * row[2] for q, row in zip(qs, rows)]
-    # each block suffix's degree and parity, by a running sum from the
-    # right (parities are summed, not reduced), and each block's least
-    # index: its degree rounded up to its parity.  A block of q > 1 factors
-    # takes only indices q j2 with j2 of its parity, a step of 2q
-    n_suf = [*accumulate(reversed(ns), initial=0)][::-1]
-    par_suf = [*accumulate(reversed(pars), initial=0)][::-1]
-    los = [n + (n - par) % 2 for n, par in zip(ns, pars)]
-    cache = ctx._monomial_op_cache
-
-    def pieces(i, e, t):
-        # the pieces of beta^e Q^{t/2} on blocks i.., counted without
-        # len(range), which overflows on a huge index; the identity leaves
-        # no beta on a block of q > 1
-        q = qs[i]
-        return max(0, (t - n_suf[i + 1] - los[i]) // (2 * q) + 1) * (e + 1 if q == 1 else 1)
-
-    def cartan(i, e, t, rest):
-        # beta^e Q^{t/2} on blocks i.., splitting off block i, f^q;
-        # rest[(e2, k2)] is beta^e2 Q^{k2/2} on blocks i+1...  Stated
-        # through the shuffle (g+h)^p -> g^p + h^p, the formula carries the
-        # twist sign (-1)^((par_i par_rest + j2 k2)(p-1)/2), par_rest the
-        # parity of blocks i+1..; it is +1 at every index reached.  j2 runs
-        # from los[i] in steps of 2q, so j2 = par_i mod 2; t has the parity
-        # of blocks i.. (by _apply_monomial's parity check at the top and by
-        # the ranges of the suffix loop below), so k2 = t - j2 = par_rest
-        # mod 2, and the exponent is 2 par_i par_rest (p-1)/2, even.  A pair
-        # of pieces one of which is zero adds nothing and is skipped
-        f, q = mono[starts[i]], qs[i]
-        out = {}  # every piece is multiplied into this one dict
-        for j2 in range(los[i], t - n_suf[i + 1] + 1, 2 * q):
-            k2 = t - j2
-            for e1 in range(e, -1, -1) if q == 1 else (0,):
-                # beta^e acts as beta^e1 on f^q and beta^e2 on the rest; a
-                # beta moved past f^q picks up (-1)^n(f^q)
-                e2 = e - e1
-                left = _apply_power(e1, j2, f, q, ctx)
-                right = rest[(e2, k2)]
-                if left.terms and right.terms:
-                    _multiply_into(out, left, right, -1 if e2 * ns[i] % 2 else 1, ctx)
-        return _from_sums(ctx, out)
-
+        return _apply_power(eps, s2, plan.fs[0], qs[0], ctx)
     # The top reads blocks 1.. at each of its splits, each of those reads
     # blocks 2.., and so on: the suffix from block i is read at every e <=
-    # eps and every t from its degree up to s2 minus the least indices of
-    # the blocks before it, in steps of twice the least block size among
+    # eps and every t from its least index up to s2 minus the least indices
+    # of the blocks before it, in steps of twice the least block size among
     # them.  The top's pieces are charged first.  With blocks of one factor
     # no list is longer; a list that is, after a block of q > 1, is charged
-    # its excess before it is read.  The suffixes are summed shortest first,
-    # each from the one before, through the per-context cache, keyed by
-    # factor-tuple suffix.
-    paid = pieces(0, eps, s2)
+    # its excess before it is read.  The suffixes are summed shortest
+    # first, each from the one before, into the results of its record
+    paid = _pieces(plan, 0, eps, s2)
     charge("Cartan pieces", paid)
-    tops = [s2 - c for c in accumulate(los, initial=0)]
-    steps = [*accumulate([2 * q for q in qs], min)]
+    leasts, offs, steps, suffixes = plan.leasts, plan.offs, plan.steps, plan.suffixes
     last = len(qs) - 1
-    rest = {}
     for i in range(last, 0, -1):
-        suffix, least = mono[starts[i]:], n_suf[i] + (n_suf[i] - par_suf[i]) % 2
-        step = steps[i - 1]
-        size = max(0, (tops[i] - least) // step + 1) * (eps + 1)
+        results = suffixes[i].results
+        least, top, step = leasts[i], s2 - offs[i], steps[i - 1]
+        size = max(0, (top - least) // step + 1) * (eps + 1)
         if size > paid:
             charge("Cartan pieces", size - paid)
             paid = size
-        here = {}
-        for t in range(least + (tops[i] - least) % step, tops[i] + 1, step):
+        for t in range(least + (top - least) % step, top + 1, step):
             for e in range(eps + 1):
-                key = (e, t, suffix)
-                hit = cache.get(key)
-                if hit is None:
+                if (e, t) not in results:
                     if i == last:
-                        hit = _apply_power(e, t, mono[starts[i]], qs[i], ctx)
+                        results[e, t] = _apply_power(e, t, plan.fs[i], qs[i], ctx)
                     else:
-                        charge("Cartan pieces", pieces(i, e, t))
-                        hit = cartan(i, e, t, rest)
-                    cache[key] = hit
-                here[e, t] = hit
-        rest = here
-    return cartan(0, eps, s2, rest)
+                        charge("Cartan pieces", _pieces(plan, i, e, t))
+                        results[e, t] = _cartan(plan, i, e, t, suffixes[i + 1].results, ctx)
+    return _cartan(plan, 0, eps, s2, suffixes[1].results, ctx)
 
 
 @metered

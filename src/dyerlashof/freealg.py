@@ -215,7 +215,7 @@ def enumerate_dmodule_basis(gen: Generator, max_degree, ctx: Context, max_charge
     instance iterated Q^{n/2}), so the charge cutoff is required.
     """
     _check_context(ctx)
-    _check_generator(gen, ctx)
+    gen = _check_generator(gen, ctx)
     _check_int("max_degree", max_degree)
     _check_int("max_charge", max_charge)
     out = [QClass(gen, word)
@@ -287,33 +287,45 @@ def element_str(elt: AlgebraElement) -> str:
     return " + ".join(parts)
 
 
-def _check_generator(gen, ctx: Context) -> None:
-    """Raise ValidationError unless gen is one of ctx's generators."""
-    if type(gen) is not Generator or gen not in ctx.generators or not (
-            is_int(gen.n) and type(gen.g) is tuple and all(map(is_int, gen.g))):
-        raise ValidationError(f"{gen!r} is not a generator of the context")
+def _check_generator(gen, ctx: Context) -> Generator:
+    """The context's own Generator equal to gen, or ValidationError unless
+    gen is one of ctx's generators, with integer fields.  The caller keeps
+    the one returned: an equal Generator may carry an int subclass (an
+    IntEnum degree, say), which the action's caches would keep."""
+    if type(gen) is Generator and is_int(gen.n) and type(gen.g) is tuple and all(
+            map(is_int, gen.g)):
+        for own in ctx.generators:
+            if own == gen:
+                return own
+    raise ValidationError(f"{gen!r} is not a generator of the context")
 
 
-def _check_class(qc, ctx: Context) -> None:
-    """Raise ValidationError unless qc is a class of Q(S) over a generator
-    of ctx: an admissible word of letters (eps, s2) with s2 of the
-    generator's twist parity and e(I) + eps_1 > n."""
+def _check_class(qc, ctx: Context) -> QClass:
+    """qc over the context's own Generator and with the word _check_word
+    returns, or ValidationError unless qc is a class of Q(S) over a
+    generator of ctx: an admissible word of letters (eps, s2) with s2 of the
+    generator's twist parity and e(I) + eps_1 > n.  An exact class comes
+    back as the same object."""
     if not isinstance(qc, QClass):
         raise ValidationError(f"a monomial factor must be a QClass, got {qc!r}")
-    _check_generator(qc.gen, ctx)
-    _check_word(qc.word)
-    par = ctx.chi.parity(qc.gen.g)
-    if any(s2 % 2 != par for _, s2 in qc.word):
+    gen = _check_generator(qc.gen, ctx)
+    word = _check_word(qc.word)
+    par = ctx.chi.parity(gen.g)
+    if any(s2 % 2 != par for _, s2 in word):
         raise ValidationError(f"{qclass_str(qc)}: an index of the wrong parity for its twist")
-    if _find_inadmissible(qc.word, ctx.p, "leftmost") is not None:
+    if _find_inadmissible(word, ctx.p, "leftmost") is not None:
         raise ValidationError(f"{qclass_str(qc)} is not admissible")
-    if qc.word and excess(qc.word, ctx.p) + qc.word[0][0] <= qc.gen.n:
+    if word and excess(word, ctx.p) + word[0][0] <= gen.n:
         raise ValidationError(f"{qclass_str(qc)} has excess too low for a class of Q(S)")
+    if type(qc) is QClass and gen is qc.gen and word is qc.word:
+        return qc
+    return QClass(gen, word)
 
 
 def _check_monomial(mono, ctx: Context) -> tuple:
-    """mono as a tuple, or ValidationError unless it is a monomial of ctx:
-    classes of Q(S) in sort-key order, a class repeated only if repeatable."""
+    """mono as a tuple of the classes _check_class returns, or
+    ValidationError unless it is a monomial of ctx: classes of Q(S) in
+    sort-key order, a class repeated only if repeatable."""
     if isinstance(mono, QClass):
         raise ContractError(f"a monomial is a tuple of QClasses, got {mono!r}")
     try:
@@ -321,21 +333,22 @@ def _check_monomial(mono, ctx: Context) -> tuple:
     except TypeError:
         raise ValidationError(f"a monomial is a tuple of QClasses, got {mono!r}") from None
     data = ctx.class_data
+    out = []
     last = checked = None
     for qc in mono:
         # a run of one factor object is checked once; a factor only equal
         # to the one before is checked in full, since a Generator with a
         # float degree equals its int twin
         if qc is not checked:
-            _check_class(qc, ctx)
-            checked = qc
-        row = data[qc]
+            checked, own = qc, _check_class(qc, ctx)
+        row = data[own]
         if last is not None and (row[0] < last[0] or row is last and not row[3]):
             raise ValidationError(
                 f"{monomial_str(mono)} is not a monomial: factors must be in sort-key "
                 "order, and only a repeatable class may repeat")
         last = row
-    return mono
+        out.append(own)
+    return tuple(out)
 
 
 _new = object.__new__  # AlgebraElement._trusted skips __init__ and its checks

@@ -482,6 +482,41 @@ def test_action_kernel_pinned():
     )
 
 
+def _kernel_ops(spec):
+    """The kernel pin's ops on one fresh context of its specs, in enumeration
+    order: (element, eps, s2, whether the op is zero by the parity rule or
+    the vanishing law)."""
+    ctx = point_context(*spec)
+    ops = []
+    for mono, g, n, _ in _enumerate_monomials(ctx, spec[2], spec[3]):
+        if n < 0:
+            continue
+        elt = AlgebraElement.from_monomial(ctx, mono)
+        par = ctx.chi.parity(g)
+        for eps in (0, 1):
+            for s2 in range(n - 3, n + 13):
+                ops.append((elt, eps, s2, (s2 - par) % 2 == 1 or s2 < n + eps))
+    return ctx, ops
+
+
+@pytest.mark.parametrize("spec", [(3, -1, 13, 9), (5, -1, 12, 25)])
+def test_the_memo_does_not_depend_on_call_order(spec):
+    # the action memo keeps one record per monomial, shared by the monomial's
+    # own ops and by the Cartan steps that read it as a block suffix; run in
+    # reverse, the ops meet the records filled in another order
+    outs = {}
+    for order in (1, -1):
+        ctx, ops = _kernel_ops(spec)
+        for k, (elt, eps, s2, zero) in list(enumerate(ops))[::order]:
+            with Meter(10**9) as m:
+                out = apply_op(eps, H(s2), elt, ctx)
+            if zero:
+                assert out.is_zero and not m.counts, (order, elt, eps, s2, m.counts)
+            outs.setdefault(k, out.terms)
+            assert out.terms == outs[k], (order, elt, eps, s2)
+    assert len(outs) == len(ops) and any(outs.values())
+
+
 def test_action_results_pass_the_boundary_checks():
     """On the kernel's contexts every result rebuilt through the checking
     constructor is unchanged: its monomials are sorted, repeat only

@@ -7,6 +7,7 @@ caught here.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -90,6 +91,33 @@ def test_in_process_workloads_run_and_check(monkeypatch):
             # a renamed cache would read as 0 entries
             assert all(n > 0 for n in workload.cache_sizes), workload.cache_sizes
     assert sorted(ran) == ["action", "rewrite", "table"]
+
+
+# the sha256 of one pass at seed 101, as bench/worker.py digests it
+_PASS_DIGESTS = {
+    "rewrite": "28d283ba491997ae9ea140d399c9371d34b360268277fc34e2b361fa9f05b748",
+    "table": "9496eca23efbfb4c8b012148ae7184936c3546d13b0e96bb8916b43dd62e938d",
+    "action": "7fddf54cf64e1f37e9bc646f0fd7cf3c5c0fb3ca4bb45d603b0a4df2fdb54357",
+}
+
+
+@pytest.mark.parametrize("name", _PASS_DIGESTS)
+def test_in_process_pass_digests_pinned(monkeypatch, name):
+    """One full pass of each in-process workload at seed 101: every op run,
+    checked and digested by its canonical output, as bench/worker.py does,
+    so a change to any output the bench compares fails here and not only in
+    a bench run.  The fix of the relations on twisted products (ROADMAP
+    item 1) will move the rewrite digest, and the change that makes it must
+    pin the new one here."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name](101, root=str(BENCH.parent))
+    digest = hashlib.sha256()
+    for op in workload.ops():
+        out = workload.run(op)
+        workload.check(op, out)
+        digest.update(workload.canonical(op, out))
+    assert digest.hexdigest() == _PASS_DIGESTS[name]
 
 
 def test_cli_workload_runs_and_checks(monkeypatch, tmp_path):

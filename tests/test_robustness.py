@@ -237,3 +237,26 @@ def test_an_int_subclass_is_stored_as_int():
         plain = call(0, 1, 4, 10)
         assert leaked == plain and plain
         assert _letter_types(leaked) == _letter_types(plain) == {int}
+
+
+def test_an_int_subclass_in_a_class_is_stored_as_int():
+    # a class with an IntEnum word, and one over a Generator with an IntEnum
+    # degree, each first, on a fresh context: the boundary rebuilds them over
+    # plain ints and the context's own Generator, so the action's memo, keyed
+    # by monomial, keeps no IntEnum for the plain call after it
+    ctx = point_context(3, 1, 20, 9)
+    x = ctx.generator("x")
+    repros = [
+        (6, QClass(x, ((_enum(0), _enum(2)),)), QClass(x, ((0, 2),))),
+        (2, QClass(Generator("x", (1,), _enum(0)), ()), QClass(x, ())),
+    ]
+    for s2, leaky, plain in repros:
+        outs = [apply_op(0, HalfInt(s2), AlgebraElement.from_monomial(ctx, (qc,)), ctx)
+                for qc in (leaky, plain)]
+        assert outs[0] == outs[1] and not outs[1].is_zero
+        for out in outs:
+            for qc in (qc for mono in out.terms for qc in mono):
+                assert qc.gen is ctx.generator("x")
+                assert all(type(v) is int for letter in qc.word for v in letter)
+    [leaky] = enumerate_dmodule_basis(Generator("x", (1,), _enum(0)), 0, ctx, 1)
+    assert leaky.gen is x
