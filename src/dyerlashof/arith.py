@@ -54,6 +54,40 @@ def binom_mod_p(m: int, n: int, p: int) -> int:
     return r
 
 
+def binom_walk_mod_p(m: int, n: int, p: int, count: int):
+    """Yield (k, binom(m + k(p-1), n - k) mod p) for each k in range(count)
+    where it is nonzero, k rising: binom_mod_p along a row, in one loop.
+
+    By Lucas' theorem binom(m, n) = binom(m0, n0) binom(m // p, n // p) mod
+    p, with m0 and n0 the lowest base-p digits.  A step adds p - 1 to the
+    top and takes 1 from the bottom: m0 and n0 fall by 1 mod p, m // p rises
+    by 1 unless m0 wraps from 0, and n // p falls by 1 when n0 does.  So the
+    four are carried from step to step, and binom_mod_p is called on the
+    rests only where binom(m0, n0) is not zero.
+    """
+    q = p - 1
+    # the k with 0 <= n - k <= m + kq
+    lo = max(0, -(-(n - m) // p))
+    hi = min(count, n + 1)
+    top, m0 = divmod(m + lo * q, p)
+    bottom, n0 = divmod(n - lo, p)
+    for k in range(lo, hi):
+        if n0 <= m0:
+            c = binom_mod_p(top, bottom, p)
+            if c:
+                yield k, math.comb(m0, n0) * c % p
+        if m0:
+            m0 -= 1
+            top += 1
+        else:
+            m0 = q
+        if n0:
+            n0 -= 1
+        else:
+            n0 = q
+            bottom -= 1
+
+
 def half_factorial(p: int) -> int:
     """((p-1)/2)! mod p."""
     r = 1

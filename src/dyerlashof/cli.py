@@ -23,7 +23,7 @@ import re
 import sys
 
 from . import __version__
-from .arith import HalfInt, binom_mod_p
+from .arith import HalfInt, binom_mod_p, binom_walk_mod_p
 from .action import apply_op, apply_word, suspension_check
 from .appcalc import (_swan_count, alternating_table, point_context, sym_sign_table,
                       sym_trivial_table)
@@ -416,6 +416,18 @@ def _check_binomials():
             for n in range(m + 1):
                 _require(binom_mod_p(m, n, p) == math.comb(m, n) % p,
                          "binom(%d, %d) mod %d", m, n, p)
+        # the walks through the same binomials: a walk keeps m + (p-1)n, so
+        # one start per value, its top below p - 1
+        for m in range(-p, p - 1):
+            count = (60 - m) // (p - 1) + 1
+            for n in range(-1, 60 * p // (p - 1) + 1):
+                want = []
+                for k in range(count):
+                    top, bottom = m + k * (p - 1), n - k
+                    if 0 <= bottom <= top and (c := math.comb(top, bottom) % p):
+                        want.append((k, c))
+                _require(list(binom_walk_mod_p(m, n, p, count)) == want,
+                         "walk from binom(%d, %d) mod %d", m, n, p)
 
 
 def _check_rewriter():

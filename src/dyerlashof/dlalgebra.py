@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .arith import (
     _check_int,
-    binom_mod_p,
+    binom_walk_mod_p,
     check_odd_prime,
     half_factorial,
     is_int,
@@ -163,27 +163,27 @@ class DLElement:
 # output words ((e_out, r2+s2-i2), (e_in, i2)) with coefficient
 #   pref * (-1)^((r2-i2)/2) * binom((i2-s2)(p-1)/2 + t_off, (r2-(p-1)s2-i2)/2 + b_off)
 # where i2 runs over the index class of r2.  Written with the offset
-# j2 = i2 - s2 and d = r2 - p*s2 (both even), the binomial is
-# binom(j2(p-1)/2 + t_off, (d-j2)/2 + b_off), the support is
-# ceil((d + 2(b_off-t_off))/p) <= j2 <= d + 2b_off, and the sign is
-# (-1)^((d-j2)/2) * (-1)^(s2(p-1)/2).  So a family's nonzero binomials
-# depend on (d, p, t_off, b_off) alone, and many pairs share them.
+# j2 = i2 - s2 = 2j and d = r2 - p*s2 (both even), and D = d/2 + b_off, the
+# binomial is binom(j(p-1) + t_off, D - j), its support is
+# ceil((D - t_off)/p) <= j <= D, and the sign is
+# (-1)^(D-j) * (-1)^b_off * (-1)^(s2(p-1)/2).  So the binomials and their
+# sign (-1)^(D-j) form a row that depends on (D, p, t_off) alone: the pairs of
+# one d share it, and so do families of different d and b_off that meet at
+# one D.  _family_terms applies the other two signs.
 
 
 @lru_cache(maxsize=None)
-def _family_row(d, p, t_off, b_off):
-    """(j2, (-1)^((d-j2)/2) * binom mod p, j2, ...) over the nonzero
-    binomials, flat: one int tuple per row, not a tuple per entry."""
-    lo = -(-(d + 2 * (b_off - t_off)) // p)  # ceil division
-    lo += lo % 2
-    top = d + 2 * b_off
+def _family_row(D, p, t_off):
+    """(2j, (-1)^(D-j) * binom(j(p-1) + t_off, D - j) mod p, 2j, ...) over
+    the nonzero binomials of the row, flat: one int tuple per row, not a
+    tuple per entry.  The row is walked once by binom_walk_mod_p."""
+    lo = -(-(D - t_off) // p)  # ceil division
+    n = D - lo  # the bottom at j = lo; the row ends where it reaches 0
     # counted without len(range), which overflows on a huge index
-    charge("Adem family rows", max(0, (top - lo) // 2 + 1))
+    charge("Adem family rows", max(0, n + 1))
     row = []
-    for j2 in range(lo, top + 1, 2):
-        c = binom_mod_p(j2 // 2 * (p - 1) + t_off, (d - j2) // 2 + b_off, p)
-        if c:
-            row += j2, -c if (d - j2) // 2 % 2 else c
+    for k, c in binom_walk_mod_p(lo * (p - 1) + t_off, n, p, n + 1):
+        row += 2 * (lo + k), -c if (n - k) % 2 else c
     return tuple(row)
 
 
@@ -207,9 +207,9 @@ def _family_terms(r2, s2, p, pref, t_off, b_off, e_out, e_in):
     """One family's output pairs and their coefficients, as two tuples
     sorted by pair (the outer index rises as j2 falls).  pref is a unit mod
     p, so every coefficient is nonzero."""
-    if s2 * (p - 1) // 2 % 2:
+    if (s2 * (p - 1) // 2 + b_off) % 2:
         pref = -pref
-    row = _family_row(r2 - p * s2, p, t_off, b_off)
+    row = _family_row((r2 - p * s2) // 2 + b_off, p, t_off)
     letters = _LETTERS
     pairs = tuple([
         (letters[e_out, r2 - j2], letters[e_in, s2 + j2]) for j2 in row[-2::-2]
@@ -329,28 +329,39 @@ def normalize(elt: DLElement, strategy: str = "leftmost") -> DLElement:
     want = 0 if twist == 1 else 1
     # The words and coefficients of elt are canonical (DLElement), so they
     # are read as they are, each in one scan.  terms: word -> coefficient,
-    # reduced mod p.  Only the inadmissible words are queued.
-    terms = {}
+    # reduced mod p, a copy of elt's dict (so no word is hashed again) that
+    # loses the words of the wrong parity after the scan; elt is not
+    # changed.  Each word's first letter is read before the loop over the
+    # junctions.  Only the inadmissible words are queued.
+    terms = elt.terms.copy()
     queue = []
-    for w, c in elt.terms.items():
-        left = _NO_LEFT
+    zero = []  # the words with an index outside the twist parity class
+    for w in terms:
+        if not w:
+            continue  # the empty word is admissible
+        left = w[0][1]
+        if left % 2 != want:
+            zero.append(w)
+            continue
         inadmissible = False
-        for e, s2 in w:
+        for e, s2 in w[1:]:
             if s2 % 2 != want:
-                break  # zero at this twist class
+                zero.append(w)
+                break
             if left > p * s2 - 2 * e:
                 inadmissible = True
             left = s2
         else:
-            terms[w] = c
             if inadmissible:
                 queue.append(w)
+    for w in zero:
+        del terms[w]
     if queue:
         _rewrite(terms, queue, p, twist, strategy == "leftmost")
     return DLElement._trusted(p, twist, terms)
 
 
-_NO_LEFT = -math.inf  # the bound a word's first letter meets
+_NO_LEFT = -math.inf  # the bound a pair at the front of a word meets
 
 
 @metered
@@ -489,14 +500,16 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
         # const * sum_j (-1)^((top-j)/2) binom((j-s)(p-1)/2 + t_off, (top-j)/2)
         #   applied to beta^eps_out Q_{(m_top-pj)(p-1)} beta^eps_in Q_{j(p-1)}
         # over j in the parity class of top; below s the binomial's top is
-        # negative.  j fixes the key and const is a unit mod p, so each
-        # nonzero binomial writes one new nonzero term.
-        for j in range(s - (s - top) % 2, top + 1, 2):
-            b = (top - j) // 2
-            c = binom_mod_p((j - s) * (p - 1) // 2 + t_off, b, p)
+        # negative.  A step of j by 2 is a step of the walk.  j fixes the
+        # key and const is a unit mod p, so each nonzero binomial writes one
+        # new nonzero term.
+        j0 = s - (s - top) % 2
+        b0 = (top - j0) // 2
+        for k, c in binom_walk_mod_p((j0 - s) * (p - 1) // 2 + t_off, b0, p, b0 + 1):
+            j = j0 + 2 * k
             m_out = m_top - p * j
-            if c and m_out >= eps_out and j >= eps_in:
-                out[((eps_out, m_out), (eps_in, j))] = (-c if b % 2 else c) * const % p
+            if m_out >= eps_out and j >= eps_in:
+                out[((eps_out, m_out), (eps_in, j))] = (-c if (b0 - k) % 2 else c) * const % p
 
     if not inner_beta:
         # Q_r Q_s and its beta-on-the-left twin; the bottom (r-j)/2 - 1 and

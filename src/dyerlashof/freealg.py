@@ -533,16 +533,18 @@ def _candidates(ctx: Context, max_degree, max_charge):
     max_degree and charge <= max_charge, with the powers each may appear in.
 
     Returns (nu, cands): nu is _degree_floor, and cands lists one row
-    (qc, g, n, k, powers) per class in sort_key order: its bidegree, its
-    charge k and the range of powers r a monomial may hold it in.  r <=
-    max_charge // k for a repeatable class, r = 1 for an exterior one, and
-    for both r * (n - nu*k) <= max_degree - nu * max_charge, since a monomial
-    of degree n' and charge c' has n' >= nu * c' and the walk and the table
-    count drop it once n' + r*n + nu * (max_charge - c' - r*k) > max_degree.
-    Each power costs a unit of the meter.  A factor of charge k sits beside
-    others of total charge <= max_charge - k and so of total degree >= nu *
-    (max_charge - k), which caps its own degree at max_degree - nu *
-    (max_charge - 1).
+    (qc, g, n, k, powers) per class with a power in range, in sort_key
+    order: its bidegree, its charge k and the range of powers r a monomial
+    may hold it in.  r <= max_charge // k for a repeatable class, r = 1 for
+    an exterior one, and for both r * (n - nu*k) <= max_degree - nu *
+    max_charge, since a monomial of degree n' and charge c' has n' >= nu * c'
+    and the walk and the table count drop it once
+    n' + r*n + nu * (max_charge - c' - r*k) > max_degree.  A class with no
+    power in range would add nothing, so it gets no row, and the table
+    count charges nothing for it.  Each power costs a unit of the meter.  A
+    factor of charge k sits beside others of total charge <= max_charge - k
+    and so of total degree >= nu * (max_charge - k), which caps its own
+    degree at max_degree - nu * (max_charge - 1).
     """
     nu = _degree_floor(ctx)
     room = max_degree - nu * max_charge
@@ -555,7 +557,8 @@ def _candidates(ctx: Context, max_degree, max_charge):
         if n > nu * k:
             top = max(0, min(top, room // (n - nu * k)))
         charge("candidate powers", top)
-        cands.append((qc, ctx.group.scale(k, qc.gen.g), n, k, range(1, top + 1)))
+        if top:
+            cands.append((qc, ctx.group.scale(k, qc.gen.g), n, k, range(1, top + 1)))
     return nu, cands
 
 

@@ -452,7 +452,10 @@ def test_action_kernel_pinned():
     summed its pieces into one dict and has not moved since.  The counts
     digest was re-pinned when the vanishing law (2s < |m| + eps gives zero)
     came to be read before any charge: "Cartan pieces" fell from 14,937 to
-    14,713 units over the 8,256 calls, "multiply" stayed at 16,314.  The
+    14,713 units over the 8,256 calls, "multiply" stayed at 16,314.  It was
+    re-pinned again when the Adem families came to share a row per
+    (D, p, t_off): "Adem family rows" fell from 105 to 77 units, and the
+    digest from 70ff1ccb... to ce1a097a...; "rewriting" stayed at 222.  The
     Adem caches are cleared first: a miss charges the meter."""
     adem_expand.cache_clear()
     _family_row.cache_clear()
@@ -478,7 +481,7 @@ def test_action_kernel_pinned():
         "0488f61a5dc43dd8b63e9c9bd46ef096bfcc70e1e822f92d049cc59417f8ff2b"
     )
     assert counts_hash.hexdigest() == (
-        "70ff1ccbc635fa729221105ccb3dab6c899b99f9cfdea93f2efdca7478760274"
+        "ce1a097aecfa0c6e459bc3531de2ea46883aa51f01fc75fa45d706a25e41c8ec"
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from dyerlashof.arith import (
     binom_mod_p,
+    binom_walk_mod_p,
     check_odd_prime,
     half_factorial,
     twist_power,
@@ -59,6 +60,47 @@ def test_binom_m_longer_than_n():
             ms += [rng.randint(n, 10**12) for _ in range(40)]
             for m in ms:
                 assert binom_mod_p(m, n, p) == math.comb(m, n) % p, (m, n, p)
+
+
+def walk_oracle(m, n, p, count, binom=binom_oracle):
+    """The walk's nonzero binomials, one binom call each."""
+    out = []
+    for k in range(count):
+        c = binom(m + k * (p - 1), n - k, p)
+        if c:
+            out.append((k, c))
+    return out
+
+
+def test_binom_walk_matches_comb():
+    # the walks through every binom(m, n) with m <= 200: a walk keeps
+    # m + (p-1)n, so one start per value, with a top from -p to p - 2
+    # (a negative top is zero until the walk reaches it) and a few steps
+    # past 200
+    for p in (3, 5, 7, 11, 13):
+        for m in range(-p, p - 1):
+            count = (200 - m) // (p - 1) + 3
+            for n in range(-2, 200 * p // (p - 1) + 2):
+                want = walk_oracle(m, n, p, count)
+                assert list(binom_walk_mod_p(m, n, p, count)) == want, (m, n, p)
+    assert list(binom_walk_mod_p(5, 2, 3, 0)) == []
+    assert list(binom_walk_mod_p(5, 2, 3, -4)) == []
+
+
+@pytest.mark.parametrize("big", [10**6 + 3, 2**70 + 5])
+def test_binom_walk_on_huge_rows(big):
+    # windows of the rows binom(j(p-1) + t, big - j) of an Adem family, at
+    # the row's start, in its middle and at its end, against binom_mod_p
+    for p in (3, 5, 7, 13):
+        nonzero = 0
+        for t in (-1, 0):
+            lo = -(-(big - t) // p)
+            for j in (lo - 3, (lo + big) // 2, big - 200):
+                m, n = j * (p - 1) + t, big - j
+                want = walk_oracle(m, n, p, 300, binom_mod_p)
+                assert list(binom_walk_mod_p(m, n, p, 300)) == want, (big, p, t, j)
+                nonzero += len(want)
+        assert nonzero
 
 
 def test_half_factorial():

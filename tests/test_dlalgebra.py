@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dyerlashof.arith import binom_mod_p
 from dyerlashof.dlalgebra import (
     DLElement,
     _family_row,
@@ -219,6 +220,54 @@ def test_adem_expansions_share_their_letters():
     assert (len(nf.terms), len(letters)) == (5, 7)
 
 
+def four_argument_row(d, p, t_off, b_off):
+    """The family row as it was keyed before rows were shared: (j2, signed
+    binomial, ...) over the nonzero binomials, one binom_mod_p call each,
+    and the number of binomials walked."""
+    lo = -(-(d + 2 * (b_off - t_off)) // p)
+    lo += lo % 2
+    top = d + 2 * b_off
+    row = []
+    for j2 in range(lo, top + 1, 2):
+        c = binom_mod_p(j2 // 2 * (p - 1) + t_off, (d - j2) // 2 + b_off, p)
+        if c:
+            row += j2, -c if (d - j2) // 2 % 2 else c
+    return tuple(row), max(0, (top - lo) // 2 + 1)
+
+
+def test_family_row_matches_the_four_argument_row():
+    # the row of (D, p, t_off) is the four-argument row of every (d, b_off)
+    # with d/2 + b_off = D, up to the sign (-1)^b_off, and charges the same
+    # units on a miss
+    for p in (3, 5, 7, 11):
+        for d in range(-40, 121, 2):
+            for t_off in (-1, 0):
+                for b_off in (-1, 0):
+                    want, units = four_argument_row(d, p, t_off, b_off)
+                    _family_row.cache_clear()
+                    with Meter(10**6) as m:
+                        row = _family_row(d // 2 + b_off, p, t_off)
+                    assert m.counts == {"Adem family rows": units}, (d, p, t_off, b_off)
+                    sign = -1 if b_off else 1
+                    got = tuple(x * sign if i % 2 else x for i, x in enumerate(row))
+                    assert got == want, (d, p, t_off, b_off)
+
+
+def test_families_share_a_row():
+    # Q^6 Q^1 (a Q . Q family: t_off = b_off = -1, d = 6) and bQ^5 bQ^1 (a
+    # beta Q . beta Q family: t_off = -1, b_off = 0, d = 4) at p = 3 read
+    # the row of D = 2: the second expansion finds it cached and charges
+    # nothing for it
+    adem_expand.cache_clear()
+    _family_row.cache_clear()
+    assert adem_expand((0, 12), (0, 2), 1, 3)
+    size = _family_row.cache_info().currsize
+    with Meter(10**6) as m:
+        assert adem_expand((1, 10), (1, 2), 1, 3)
+    assert _family_row.cache_info().currsize == size
+    assert m.counts == {}
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -312,13 +361,16 @@ def test_rewriting_kernel_pinned():
     """Every 30th word of strata 2-8 of acceptance 4's corpus (its words of
     length 3 and 4), from cold caches: a digest of the normal forms and the
     units of each strategy.  Recorded before normalize read the Adem cache
-    directly and kept its coefficients reduced."""
+    directly and kept its coefficients reduced.  The "Adem family rows"
+    units were re-pinned when the families came to share a row per
+    (D, p, t_off): 72,351 -> 59,219 leftmost and 55,374 -> 50,076
+    rightmost; the digest and the "rewriting" units did not move."""
     corpus = _rewrite_corpus(random.Random(2024))
     words = [w for w in corpus if len(w[2]) > 2][::30]
     assert len(words) == 78
     for strategy, units in (
-        ("leftmost", {"rewriting": 3839, "Adem family rows": 72351}),
-        ("rightmost", {"rewriting": 3349, "Adem family rows": 55374}),
+        ("leftmost", {"rewriting": 3839, "Adem family rows": 59219}),
+        ("rightmost", {"rewriting": 3349, "Adem family rows": 50076}),
     ):
         adem_expand.cache_clear()
         _family_row.cache_clear()
@@ -541,3 +593,38 @@ def test_normalize_properties(p, tw, raw):
     for word in nf.terms:
         assert admissible(word, p, tw)
         assert word_degree(word, p) == word_degree(w, p)
+
+
+def _right_parity(w, twist):
+    want = 0 if twist == 1 else 1
+    return all(s2 % 2 == want for _, s2 in w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 5]),
+    st.sampled_from([1, -1]),
+    st.dictionaries(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(-4, 14)), max_size=3).map(tuple),
+        st.integers(1, 4),
+        max_size=5,
+    ),
+)
+@example(3, 1, {((0, 6), (0, 2)): 1})  # admissible
+@example(3, 1, {((0, 4), (0, 0)): 1})  # inadmissible
+@example(3, 1, {((0, 3), (0, 2)): 2})  # first letter of the wrong parity
+@example(3, -1, {((0, 5), (1, 1), (0, 2)): 1})  # a later letter of the wrong parity
+@example(5, 1, {(): 3})  # the empty word
+@example(3, 1, {(): 1, ((0, 6), (0, 2)): 2, ((0, 4), (0, 0)): 1, ((0, 3),): 1,
+                ((0, 2), (0, 1)): 2, ((1, 12), (0, 2), (0, 0)): 1})  # all of them
+def test_normalize_drops_wrong_parity_words_first(p, twist, terms):
+    # the front scan drops the words of the wrong parity: normalizing
+    # without them first gives the same result, and the input is not changed
+    elt = DLElement(p, twist, terms)
+    before = list(elt.terms.items())
+    kept = DLElement(p, twist, {w: c for w, c in terms.items() if _right_parity(w, twist)})
+    for strategy in ("leftmost", "rightmost"):
+        got = normalize(elt, strategy)
+        assert got == normalize(kept, strategy)
+        assert list(elt.terms.items()) == before
+        assert got.terms is not elt.terms
