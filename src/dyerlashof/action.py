@@ -21,12 +21,13 @@ pair of pieces one of which is zero is skipped.  The twist sign of the
 formula, stated through the shuffle (g+h)^p -> g^p + h^p, is +1 at every
 index the sum reaches, so it is not computed.
 
-The action is memoized per context, in one record per monomial (_Record):
-its degree and twist parity, summed once; its results, keyed (eps, 2s);
-and its block plan (_Plan), built on its first Cartan step: the blocks,
-their degrees and least indices, the running sums and steps, and the
-records of its block suffixes, which the Cartan step reads and fills.  So
-an op that the parity rule or the vanishing law makes zero costs one
+The action's one memo per context holds a record per monomial (_Record):
+its degree and twist parity, summed once; its results, keyed (eps, 2s),
+so that a class, a block and a block suffix each keep theirs in their own
+record; and its block plan (_Plan), built on its first Cartan step: the
+blocks, their degrees and least indices, the running sums and steps, and
+the records of its block suffixes, which the Cartan step reads and fills.
+So an op that the parity rule or the vanishing law makes zero costs one
 lookup, and a Cartan step does only the work that depends on (eps, s).
 """
 
@@ -60,6 +61,8 @@ def apply_op(eps: int, s: HalfInt, e: AlgebraElement, ctx: Context) -> AlgebraEl
         eps, s2 = _checked_op(eps, s)
     _check_element(e, ctx)
     terms = e.terms
+    # the single-term fork skips _combine's dict merge: without it bench
+    # `action` op_p50_ms rose by about 20 % (4 of 4 pairs)
     if len(terms) == 1:
         [(mono, c)] = terms.items()
         if c == 1:  # the memo's terms, copied: a result shares no dict with it
@@ -103,14 +106,8 @@ def _realize_word(word, gen, ctx: Context):
 
 
 def _apply_qclass(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
-    """Memoized one-factor action; results are never mutated, so sharing
-    the cached elements across callers is safe."""
-    cache = ctx._qclass_op_cache
-    key = (eps, s2, qc)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = _apply_qclass_raw(eps, s2, qc, ctx)
-    return hit
+    """The one-factor action, read from the memo record of (qc,)."""
+    return _apply_monomial(eps, s2, (qc,), ctx)
 
 
 def _apply_qclass_raw(eps, s2, qc: QClass, ctx: Context) -> AlgebraElement:
@@ -174,7 +171,7 @@ def _apply_monomial(eps, s2, mono, ctx: Context) -> AlgebraElement:
 
 
 def _apply_power(eps, s2, qc: QClass, q: int, ctx: Context) -> AlgebraElement:
-    """beta^eps Q^{s2/2} on the block qc^q, q a power of p, by the Frobenius
+    """beta^eps Q^{s2/2} on the block qc^q, q > 1 a power of p, by the Frobenius
     identity: zero unless eps = 0 and q divides s2, else (Q^{s2/2q} qc)^q.
 
     The identity follows from the Cartan formula.  A class that repeats in
@@ -189,8 +186,6 @@ def _apply_power(eps, s2, qc: QClass, q: int, ctx: Context) -> AlgebraElement:
     in F_p, so (sum c_m m)^q = sum c_m m^q.  A non-repeatable factor would
     square to zero, but none occurs, so m^q is m with each factor repeated
     q times, still sorted, with sign +1."""
-    if q == 1:
-        return _apply_qclass(eps, s2, qc, ctx)
     if eps or s2 % q:
         return AlgebraElement._trusted(ctx, {})
     return AlgebraElement._trusted(ctx, {
@@ -221,24 +216,24 @@ def _blocks(mono, p):
 
 class _Plan:
     """What the Cartan step on a monomial reads that does not depend on the
-    operation, built once per monomial and context.  Per block i: its
-    factor fs[i] and size qs[i], its degree ns[i] and its least index
-    los[i] (its degree rounded up to its parity; a block of q > 1 factors
-    takes only indices q j2 with j2 of its parity, a step of 2q).  Per
+    operation, built once per monomial and context.  Per block i: its slice
+    heads[i] of the monomial, its size qs[i], its degree ns[i] and its least
+    index los[i] (its degree rounded up to its parity; a block of q > 1
+    factors takes only indices q j2 with j2 of its parity, a step of 2q).  Per
     block suffix i..: its degree n_suf[i] (a running sum from the right,
     n_suf[last + 1] = 0), its least index leasts[i], the sum offs[i] of
     the least indices of the blocks before it, the step steps[i - 1] of the
     indices it is read at (twice the least block size before it), and its
     record suffixes[i], found or made in the context's memo."""
 
-    __slots__ = ("fs", "qs", "ns", "los", "n_suf", "leasts", "offs", "steps", "suffixes")
+    __slots__ = ("heads", "qs", "ns", "los", "n_suf", "leasts", "offs", "steps", "suffixes")
 
     def __init__(self, mono, ctx: Context):
         starts, qs = _blocks(mono, ctx.p)
         data = ctx.class_data
-        self.fs = fs = [mono[i] for i in starts]
+        self.heads = [mono[i:i + q] for i, q in zip(starts, qs)]
         self.qs = qs
-        rows = [data[f] for f in fs]
+        rows = [data[mono[i]] for i in starts]
         self.ns = ns = [q * row[1] for q, row in zip(qs, rows)]
         pars = [q * row[2] for q, row in zip(qs, rows)]
         # parities are summed, not reduced
@@ -277,7 +272,7 @@ def _cartan(plan: _Plan, i, e, t, rest, ctx: Context) -> AlgebraElement:
     # suffix loop of _apply_monomial_raw), so k2 = t - j2 = par_rest mod 2,
     # and the exponent is 2 par_i par_rest (p-1)/2, even.  A pair of pieces
     # one of which is zero adds nothing and is skipped
-    f, q, n_i = plan.fs[i], plan.qs[i], plan.ns[i]
+    head, q, n_i = plan.heads[i], plan.qs[i], plan.ns[i]
     out = {}  # every piece is multiplied into this one dict
     for j2 in range(plan.los[i], t - plan.n_suf[i + 1] + 1, 2 * q):
         k2 = t - j2
@@ -285,7 +280,7 @@ def _cartan(plan: _Plan, i, e, t, rest, ctx: Context) -> AlgebraElement:
             # beta^e acts as beta^e1 on f^q and beta^e2 on the rest; a beta
             # moved past f^q picks up (-1)^n(f^q)
             e2 = e - e1
-            left = _apply_power(e1, j2, f, q, ctx)
+            left = _apply_monomial(e1, j2, head, ctx)
             right = rest[e2, k2]
             if left.terms and right.terms:
                 _multiply_into(out, left, right, -1 if e2 * n_i % 2 else 1, ctx)
@@ -297,17 +292,20 @@ def _apply_monomial_raw(eps, s2, mono, rec: _Record, ctx: Context) -> AlgebraEle
         if eps == 0 and s2 == 0:
             return AlgebraElement._trusted(ctx, {(): 1})
         return AlgebraElement._trusted(ctx, {})
+    if len(mono) == 1:
+        return _apply_qclass_raw(eps, s2, mono[0], ctx)
     # _apply_monomial has read off an index of the wrong parity and the
     # vanishing law.  The Cartan formula is summed over blocks: a run of p
     # or more equal factors (sorted, so adjacent) is split into p^i-th
     # powers, each acted on by _apply_power; any other factor is a block of
-    # its own.  The plan is built before any unit is charged
+    # its own.  A block's results live in the record of its slice of the
+    # monomial.  The plan is built before any unit is charged
     plan = rec.plan
     if plan is None:
         plan = rec.plan = _Plan(mono, ctx)
     qs = plan.qs
     if len(qs) == 1:
-        return _apply_power(eps, s2, plan.fs[0], qs[0], ctx)
+        return _apply_power(eps, s2, mono[0], qs[0], ctx)
     # The top reads blocks 1.. at each of its splits, each of those reads
     # blocks 2.., and so on: the suffix from block i is read at every e <=
     # eps and every t from its least index up to s2 minus the least indices
@@ -330,8 +328,8 @@ def _apply_monomial_raw(eps, s2, mono, rec: _Record, ctx: Context) -> AlgebraEle
         for t in range(least + (top - least) % step, top + 1, step):
             for e in range(eps + 1):
                 if (e, t) not in results:
-                    if i == last:
-                        results[e, t] = _apply_power(e, t, plan.fs[i], qs[i], ctx)
+                    if i == last:  # this suffix is the last block
+                        results[e, t] = _apply_monomial(e, t, plan.heads[i], ctx)
                     else:
                         charge("Cartan pieces", _pieces(plan, i, e, t))
                         results[e, t] = _cartan(plan, i, e, t, suffixes[i + 1].results, ctx)
@@ -356,6 +354,7 @@ def _shifted(ctx: Context) -> Context:
     return Context(ctx.p, ctx.group, ctx.chi, gens, ctx.max_degree, ctx.max_charge)
 
 
+@metered
 def suspension_check(ctx: Context, max_degree, max_charge):
     """Compare the action before and after shifting every generator degree
     up by one: Q^s commutes with the shift and beta Q^s anti-commutes, so

@@ -9,9 +9,10 @@ combinatorial convention: binom(m, n) = 0 unless 0 <= n <= m.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ContractError, ValidationError, is_int
+from .errors import ContractError, ValidationError, charge, is_int
 
 
 P_MAX = 2**31 - 1
@@ -88,8 +89,11 @@ def binom_walk_mod_p(m: int, n: int, p: int, count: int):
             bottom -= 1
 
 
+@lru_cache(maxsize=None)
 def half_factorial(p: int) -> int:
-    """((p-1)/2)! mod p."""
+    """((p-1)/2)! mod p, cached per p.  A miss charges its (p-1)/2 steps
+    before it takes one, so a huge p runs out of budget at once."""
+    charge("half factorial", (p - 1) // 2)
     r = 1
     for k in range(2, (p - 1) // 2 + 1):
         r = (r * k) % p

@@ -441,6 +441,7 @@ def _rewrite(terms: dict, queue: list, p: int, twist: int, leftmost: bool) -> No
 # with beta on both sides.  beta^eps Q_{m(p-1)} is zero when m < eps.
 
 
+@metered
 def lower_from_upper(eps: int, s2: int, n: int, p: int):
     """Return (index, coeff, is_zero) with beta^eps Q^{s2/2} = coeff * (beta^eps) Q_index.
 
@@ -467,6 +468,7 @@ def _lower_case(case):
     return _LOWER_CASES[case]
 
 
+@metered
 def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
     """Lower-indexed Adem relation for a composite on degree-n classes.
 
@@ -500,15 +502,15 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
         # const * sum_j (-1)^((top-j)/2) binom((j-s)(p-1)/2 + t_off, (top-j)/2)
         #   applied to beta^eps_out Q_{(m_top-pj)(p-1)} beta^eps_in Q_{j(p-1)}
         # over j in the parity class of top; below s the binomial's top is
-        # negative.  A step of j by 2 is a step of the walk.  j fixes the
-        # key and const is a unit mod p, so each nonzero binomial writes one
-        # new nonzero term.
+        # negative, so a nonzero one has j >= s >= eps_in.  A step of j by 2
+        # is a step of the walk.  j fixes the key and const is a unit mod p,
+        # so each nonzero binomial writes one new nonzero term.
         j0 = s - (s - top) % 2
         b0 = (top - j0) // 2
         for k, c in binom_walk_mod_p((j0 - s) * (p - 1) // 2 + t_off, b0, p, b0 + 1):
             j = j0 + 2 * k
             m_out = m_top - p * j
-            if m_out >= eps_out and j >= eps_in:
+            if m_out >= eps_out:
                 out[((eps_out, m_out), (eps_in, j))] = (-c if (b0 - k) % 2 else c) * const % p
 
     if not inner_beta:
@@ -550,6 +552,7 @@ def _upper_pair_from_lower(eps_out, m_out, eps_in, m_in, n, p):
     return ((eps_out, s2_out), (eps_in, s2_in)), unit
 
 
+@metered
 def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int):
     """Expand a lower-indexed composite two ways; both results are expressed
     in the basis of admissible upper words with excess >= n at twist chi_g.

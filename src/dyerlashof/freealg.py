@@ -48,7 +48,8 @@ class Generator(NamedTuple):
 class Context:
     """A prime, a grading group with twist character, and named generators,
     each Generator checked here, where it enters the engine.  It owns the
-    class_data table (_ClassData) and the two caches of action.py."""
+    class_data table (_ClassData) and the action's one memo, a record per
+    monomial (action._Record)."""
 
     def __init__(self, p, group: GradingGroup, chi: TwistCharacter, generators,
                  max_degree=None, max_charge=None):
@@ -78,7 +79,6 @@ class Context:
         self.max_degree = max_degree
         self.max_charge = max_charge
         self.class_data = _ClassData(self)
-        self._qclass_op_cache = {}
         self._monomial_op_cache = {}
 
     def generator(self, name: str) -> Generator:

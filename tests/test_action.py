@@ -254,6 +254,8 @@ _LAW_CONTEXTS = {
     ("sign", 3): lambda: point_context(3, -1, 8, 6),
     ("sign", 5): lambda: point_context(5, -1, 10, 25),
     ("sign", 7): lambda: point_context(7, -1, 10, 9),
+    ("sign", 11): lambda: point_context(11, -1, 44, 12),
+    ("sign", 13): lambda: point_context(13, -1, 52, 14),
     ("untw", 3): lambda: point_context(3, 1, 8, 6),
     ("untw", 5): lambda: point_context(5, 1, 8, 6),
     ("untw", 7): lambda: point_context(7, 1, 12, 8),
@@ -264,9 +266,10 @@ _LAW_CONTEXTS = {
 # the action breaks the law on these cells (ROADMAP item 1): at p = 3 the
 # case Q^r bQ^s fails on 9 of the 10 sign products and 24 of the 40 Z^2
 # products, and bQ^r bQ^s on 1 of the 40; at p = 7 Q^r bQ^s fails on 2 of 2
-# and 6 of 12.  A fix turns them into strict XPASS failures.
+# and 6 of 12, and at p = 11 on 4 of 4 sign products (p = 13 holds).  A
+# fix turns them into strict XPASS failures.
 _LAW_FAILS = {("sign", 3, (0, 1)), ("z2", 3, (0, 1)), ("z2", 3, (1, 1)),
-              ("sign", 7, (0, 1)), ("z2", 7, (0, 1))}
+              ("sign", 7, (0, 1)), ("z2", 7, (0, 1)), ("sign", 11, (0, 1))}
 
 
 @functools.cache

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dyerlashof.arith import (
     binom_mod_p,
@@ -41,6 +41,7 @@ def test_binom_lucas_vs_factorial_sample():
                 assert binom_mod_p(m, n, p) == binom_oracle(m, n, p), (m, n, p)
 
 
+@settings(deadline=None)
 @given(
     st.integers(min_value=-50, max_value=400),
     st.integers(min_value=-50, max_value=400),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -474,6 +475,17 @@ def test_lower_from_upper_examples():
     assert lower_from_upper(1, 3, 1, 5)[2] is False
     # p = 5 twisted: Q^{1/2} = hf^3 Q_4 = 3 Q_4
     assert lower_from_upper(0, 1, 0, 5) == (4, 3, False)
+
+
+def test_lower_indexing_at_the_largest_prime_is_bounded():
+    # ((p-1)/2)! is charged its (p-1)/2 steps before the loop, so at P_MAX
+    # the default budget runs out at once, where the loop would take a minute
+    for call in (lambda: lower_from_upper(0, 2, 0, 2147483647),
+                 lambda: adem_expand_lower(3, 1, 0, 1, 2147483647, "QbQ")):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="half factorial"):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_lower_adem_contract():

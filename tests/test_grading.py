@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dyerlashof.errors import ValidationError
 from dyerlashof.grading import GradingGroup, TwistCharacter
@@ -54,6 +54,7 @@ def test_chi_multiplicative():
     g = GradingGroup(free_rank=2, torsion_orders=(2,))
     chi = TwistCharacter(g, (-1, 1, -1))
 
+    @settings(deadline=None)
     @given(
         st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
         st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
@@ -66,6 +67,7 @@ def test_chi_multiplicative():
     inner()
 
 
+@settings(deadline=None)
 @given(st.tuples(st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99)))
 def test_chi_ignores_reduction(a):
     # parity reads g without reducing it; that is sound because -1 sits only

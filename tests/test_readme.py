@@ -71,5 +71,5 @@ def test_readme_meter_table_names_every_stage():
         for path in src.rglob("*.py")
         for stage in re.findall(r"\bcharge\(\s*\"([^\"]+)\"", path.read_text(encoding="utf-8"))
     }
-    assert len(documented) == len(set(documented)) == 9
+    assert len(documented) == len(set(documented)) == 10
     assert set(documented) == charged
