@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import accumulate, groupby
 
-from .arith import HalfInt, half_factorial, is_int
+from .arith import HalfInt, _check_int, half_factorial, is_int
 from .dlalgebra import DLElement, _check_word, excess, lower_from_upper, normalize
 from .errors import ContractError, charge, metered
 from .freealg import (
@@ -363,6 +363,8 @@ def suspension_check(ctx: Context, max_degree, max_charge):
     list of discrepancy descriptions (empty when everything agrees).
     """
     _check_context(ctx)
+    _check_int("max_degree", max_degree)
+    _check_int("max_charge", max_charge)
     p = ctx.p
     hf = half_factorial(p)
     bad = []

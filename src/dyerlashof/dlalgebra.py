@@ -452,19 +452,29 @@ def lower_from_upper(eps: int, s2: int, n: int, p: int):
     _check_int("n", n)
     check_odd_prime(p)
     m = s2 - n
+    return m * (p - 1), _lower_unit(s2, n, p), m < eps
+
+
+def _lower_unit(s2: int, n: int, p: int) -> int:
+    """lower_from_upper's coeff, which eps does not change; nothing is checked."""
     sign = -1 if s2 // 2 % 2 else 1
-    c = sign * pow(half_factorial(p), 3 * (s2 % 2), p) * v_const(n, p)
-    return m * (p - 1), c % p, m < eps
+    return sign * pow(half_factorial(p), 3 * (s2 % 2), p) * v_const(n, p) % p
 
 
 # case -> (outer_beta, inner_beta)
 _LOWER_CASES = {"QQ": (0, 0), "bQQ": (1, 0), "QbQ": (0, 1), "bQbQ": (1, 1)}
 
 
-def _lower_case(case):
-    """(outer_beta, inner_beta) of a case name, or ContractError."""
+def _lower_args(case, r, s, n, chi_g, p):
+    """(outer_beta, inner_beta) of case, once every argument of a lower
+    composite is checked: ContractError for an unknown case name,
+    ValidationError for the rest."""
     if case not in _LOWER_CASES:
         raise ContractError(f"case must be one of {tuple(_LOWER_CASES)}, got {case!r}")
+    for name, value in (("r", r), ("s", s), ("n", n)):
+        _check_int(name, value)
+    _check_twist(chi_g)
+    check_odd_prime(p)
     return _LOWER_CASES[case]
 
 
@@ -479,11 +489,7 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
     Returns {((eps_out, m_out), (eps_in, m_in)): coeff} over nonzero lower
     operations; chi_g is the twist character value of the acted-on classes.
     """
-    outer_beta, inner_beta = _lower_case(case)
-    for name, value in (("r", r), ("s", s), ("n", n)):
-        _check_int(name, value)
-    _check_twist(chi_g)
-    check_odd_prime(p)
+    outer_beta, inner_beta = _lower_args(case, r, s, n, chi_g, p)
     if inner_beta:
         if r < s:
             raise ContractError(f"need r >= s for {case}, got r={r}, s={s}")
@@ -536,22 +542,6 @@ def adem_expand_lower(r: int, s: int, n: int, chi_g: int, p: int, case: str):
 # cross-check between the two indexings
 
 
-def _upper_pair_from_lower(eps_out, m_out, eps_in, m_in, n, p):
-    """Convert a lower-indexed composite of two nonzero operations on
-    degree-n classes to an upper word.
-
-    Returns (word_entries, unit) with
-    (beta^eo) Q_{m_out(p-1)} (beta^ei) Q_{m_in(p-1)} = unit * upper word.
-    """
-    s2_in = m_in + n
-    n_mid = p * n + m_in * (p - 1) - eps_in
-    s2_out = m_out + n_mid
-    c_in = lower_from_upper(eps_in, s2_in, n, p)[1]
-    c_out = lower_from_upper(eps_out, s2_out, n_mid, p)[1]
-    unit = pow(c_out * c_in % p, p - 2, p)
-    return ((eps_out, s2_out), (eps_in, s2_in)), unit
-
-
 @metered
 def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int):
     """Expand a lower-indexed composite two ways; both results are expressed
@@ -561,7 +551,7 @@ def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int)
     Route B converts the composite to a single upper word and normalizes it
     with the upper-indexed relations.  Returns (route_a, route_b).
     """
-    outer_beta, inner_beta = _lower_case(case)
+    outer_beta, inner_beta = _lower_args(case, r, s, n, chi_g, p)
     want = 0 if chi_g == 1 else 1
 
     def keep(entries):
@@ -570,13 +560,22 @@ def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int)
             and excess(entries, p) >= n
         )
 
+    def upper(eps_out, m_out, eps_in, m_in):
+        # (word, unit) with (beta^eps_out) Q_{m_out(p-1)} (beta^eps_in)
+        # Q_{m_in(p-1)} = unit * word on degree-n classes
+        s2_in = m_in + n
+        n_mid = p * n + m_in * (p - 1) - eps_in
+        s2_out = m_out + n_mid
+        c = _lower_unit(s2_out, n_mid, p) * _lower_unit(s2_in, n, p)
+        return ((eps_out, s2_out), (eps_in, s2_in)), pow(c, p - 2, p)
+
     # the composite itself: zero operations make both routes trivially zero
     if s < inner_beta or r < outer_beta:
         return {}, {}
 
-    # route B: convert the composite, rewrite with the upper-indexed relations
-    entries, unit = _upper_pair_from_lower(outer_beta, r, inner_beta, s, n, p)
-    nf = normalize(DLElement(p, chi_g, {entries: unit}))
+    # route B: convert the composite (checked, so trusted) and rewrite it upper
+    entries, unit = upper(outer_beta, r, inner_beta, s)
+    nf = normalize(DLElement._trusted(p, chi_g, {entries: unit}))
     route_b = {w: c for w, c in nf.terms.items() if keep(w)}
 
     # route A: lower-indexed relation, then convert each output pair.  The
@@ -584,7 +583,7 @@ def cross_check_composite(r: int, s: int, case: str, n: int, p: int, chi_g: int)
     # unit, so each gives one new nonzero term.
     route_a: dict = {}
     for ((eo, mo), (ei, mi)), c in adem_expand_lower(r, s, n, chi_g, p, case).items():
-        entries, unit = _upper_pair_from_lower(eo, mo, ei, mi, n, p)
+        entries, unit = upper(eo, mo, ei, mi)
         if keep(entries):
             route_a[entries] = c * unit % p
     return route_a, route_b

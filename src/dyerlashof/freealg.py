@@ -54,8 +54,14 @@ class Context:
     def __init__(self, p, group: GradingGroup, chi: TwistCharacter, generators,
                  max_degree=None, max_charge=None):
         check_odd_prime(p)
+        if not isinstance(group, GradingGroup):
+            raise ContractError(f"expected a GradingGroup, got {type(group).__name__}")
+        if not isinstance(chi, TwistCharacter):
+            raise ContractError(f"expected a TwistCharacter, got {type(chi).__name__}")
         if chi.group != group:
             raise ValidationError("twist character is defined on a different group")
+        if not isinstance(generators, (tuple, list)):
+            raise ValidationError(f"generators must be a list, got {generators!r}")
         for name, value in (("max_degree", max_degree), ("max_charge", max_charge)):
             if value is not None:
                 _check_int(name, value)

@@ -21,7 +21,7 @@ import operator
 from collections import namedtuple
 
 from .arith import is_int
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 
 
 class GradingGroup(namedtuple("GradingGroup", "free_rank torsion_orders")):
@@ -48,12 +48,11 @@ class GradingGroup(namedtuple("GradingGroup", "free_rank torsion_orders")):
     def validate(self, g) -> tuple[int, ...]:
         """Check an element from outside the engine and return it canonical,
         its torsion coordinates reduced mod their order."""
-        g = tuple(g)
-        if len(g) != self.rank or not all(is_int(c) for c in g):
-            raise ValidationError(
-                f"element {g!r} is not an integer tuple of length {self.rank}"
-            )
-        return self._reduce(list(g))
+        if isinstance(g, (tuple, list)):
+            g = tuple(g)
+            if len(g) == self.rank and all(is_int(c) for c in g):
+                return self._reduce(list(g))
+        raise ValidationError(f"element {g!r} is not an integer tuple of length {self.rank}")
 
     def _reduce(self, coords: list) -> tuple[int, ...]:
         for i, t in enumerate(self.torsion_orders, self.free_rank):
@@ -85,6 +84,8 @@ class TwistCharacter(namedtuple("TwistCharacter", "group signs")):
     __slots__ = ()
 
     def __new__(cls, group: GradingGroup, signs):
+        if not isinstance(group, GradingGroup):
+            raise ContractError(f"expected a GradingGroup, got {type(group).__name__}")
         if not isinstance(signs, (tuple, list)):
             raise ValidationError(f"signs must be a list, got {signs!r}")
         signs = tuple(signs)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from dyerlashof.appcalc import (
@@ -127,6 +129,62 @@ def test_twist_shift_identity(p):
         untwisted = _one_generator_table(p, 1, n + 1, top + max_charge, max_charge)
         shifted = {(k, q - k): d for (k, q), d in untwisted.items() if q - k <= top}
         assert twisted and twisted == shifted, n
+
+
+
+# Context shapes as (free rank, torsion orders, signs, generators (g, n)):
+# free ranks 0 to 2, torsion Z/2 and Z/4 with sign -1, and mixed, all-twisted
+# and untwisted generators of degrees -1 to 3.
+SHIFT_SHAPES = [
+    (0, (), (), [((), 0)]),
+    (1, (), (-1,), [((1,), 0)]),
+    (1, (), (-1,), [((1,), -1), ((2,), 1)]),
+    (2, (), (-1, 1), [((1, 0), 0), ((0, 1), 1), ((1, 1), -1)]),
+    (2, (), (-1, -1), [((1, 0), 2), ((0, 1), 3), ((1, 1), 0)]),
+    (2, (), (-1, -1), [((1, 0), -1), ((0, 1), -1)]),
+    (0, (2,), (-1,), [((1,), 0), ((0,), 2)]),
+    (0, (4,), (-1,), [((1,), 1), ((2,), -1), ((3,), 2)]),
+    (1, (2,), (1, -1), [((1, 0), 0), ((0, 1), -1), ((1, 1), 3)]),
+    (1, (4,), (-1, -1), [((1, 0), 1), ((0, 1), 0), ((1, 1), 2)]),
+]
+
+
+def _shape_context(p, free, torsion, signs, gens):
+    group = GradingGroup(free, torsion)
+    return Context(p, group, TwistCharacter(group, signs),
+                   [Generator(f"x{i}", g, n) for i, (g, n) in enumerate(gens)])
+
+
+def _refined_context(p, free, torsion, signs, gens, twin):
+    """The shape over G + Z, the new coordinate (index free) 1 on twisted
+    generators and 0 on the others, and chi +1 on it; the twin also makes
+    chi trivial and raises each twisted generator's degree by 1."""
+    chi = TwistCharacter(GradingGroup(free, torsion), signs)
+    refined = []
+    for g, n in gens:
+        t = chi.parity(g)
+        refined.append((g[:free] + (t,) + g[free:], n + t if twin else n))
+    signs = (1,) * (len(signs) + 1) if twin else signs[:free] + (1,) + signs[free:]
+    return _shape_context(p, free + 1, torsion, signs, refined)
+
+
+@pytest.mark.parametrize("p,top,max_charge", [(3, 14, 18), (5, 24, 12), (7, 30, 14)])
+def test_twist_shift_identity_on_every_shape(p, top, max_charge):
+    # On G + Z the new coordinate of a monomial counts the charge its twisted
+    # factors carry, which is the degree the twin adds: the twisted table is
+    # the twin's shifted down by that coordinate.  The twin needs max_charge
+    # more degrees, since the coordinate is at most the charge.
+    for shape in SHIFT_SHAPES:
+        free = shape[0]
+        twisted = poincare_table(_refined_context(p, *shape, False), top, max_charge)
+        twin = poincare_table(_refined_context(p, *shape, True), top + max_charge, max_charge)
+        shifted = {(g, n - g[free], k): d for (g, n, k), d in twin.items() if n - g[free] <= top}
+        assert twisted and twisted == shifted, shape
+        # the refinement only splits the original table's entries
+        projected = Counter()
+        for (g, n, k), d in twisted.items():
+            projected[g[:free] + g[free + 1:], n, k] += d
+        assert dict(projected) == poincare_table(_shape_context(p, *shape), top, max_charge), shape
 
 
 def test_untwisted_stability():

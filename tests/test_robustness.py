@@ -77,12 +77,22 @@ ROWS = [
     ("adem_expand_lower-float-r", V, lambda: adem_expand_lower(3.0, 1, 0, 1, 3, "QQ")),
     ("adem_expand_lower-p", V, lambda: adem_expand_lower(3, 1, 0, 1, 4, "QQ")),
     ("adem_expand_lower-case", C, lambda: adem_expand_lower(3, 1, 0, 1, 3, "XX")),
+    ("adem_expand_lower-inner-s", C, lambda: adem_expand_lower(1, -1, 0, 1, 3, "QQ")),
     ("cross_check_composite-case", C, lambda: cross_check_composite(3, 1, "XX", 0, 3, 1)),
+    # the checks run before the early zero of a composite with a zero operation
+    ("cross_check_composite-p", V, lambda: cross_check_composite(0, 0, "QbQ", 0, 4, 1)),
+    ("cross_check_composite-str-r", V, lambda: cross_check_composite("x", 0, "QbQ", 0, 3, 1)),
     # contexts and their parts
     ("GradingGroup-rank", V, lambda: GradingGroup(-1)),
+    ("GradingGroup-validate-int", V, lambda: GROUP.validate(5)),
     ("TwistCharacter-sign", V, lambda: TwistCharacter(GROUP, (0,))),
+    ("TwistCharacter-group", C, lambda: TwistCharacter("g", (1,))),
     ("Context-p", V, lambda: Context(4, GROUP, CHI, [])),
     ("Context-degree", V, lambda: Context(3, GROUP, CHI, [Generator("x", (1,), 0.5)])),
+    ("Context-group", C, lambda: Context(3, "g", CHI, [])),
+    ("Context-chi", C, lambda: Context(3, GROUP, "chi", [])),
+    ("Context-generators-none", V, lambda: Context(3, GROUP, CHI, None)),
+    ("Context-generator-str", V, lambda: Context(3, GROUP, CHI, ["x"])),
     ("point_context-twist", V, lambda: point_context(3, 0, 4, 4)),
     ("Meter-budget", V, lambda: Meter(-1)),
     # the free algebra
@@ -94,6 +104,7 @@ ROWS = [
     ("unit-ctx", C, lambda: AlgebraElement.unit("c")),
     ("from_monomial-ctx", C, lambda: AlgebraElement.from_monomial("c", (X,))),
     ("from_monomial-bare-class", C, lambda: AlgebraElement.from_monomial(CTX, X)),
+    ("from_monomial-int", V, lambda: AlgebraElement.from_monomial(CTX, 5)),
     ("scale-float", V, lambda: ELT.scale(1.5)),
     ("add-not-element", C, lambda: ELT.add("x")),
     ("multiply-not-element", C, lambda: multiply(ELT, "x", CTX)),
@@ -112,6 +123,7 @@ ROWS = [
     ("apply_word-list", V, lambda: apply_word([1], ELT, CTX)),
     ("apply_word-not-element", C, lambda: apply_word(WORD, "x", CTX)),
     ("suspension_check-ctx", C, lambda: suspension_check("c", 4, 4)),
+    ("suspension_check-cutoff", V, lambda: suspension_check(CTX, 4.0, 4)),
     # the group-homology tables
     ("sym_sign_table-cutoff", V, lambda: sym_sign_table(3, 2, None)),
     ("sym_trivial_table-cutoff", V, lambda: sym_trivial_table(3, None, 5)),
@@ -130,6 +142,12 @@ def test_malformed_input_raises_a_typed_error(error, call):
     assert issubclass(error, DyerLashofError)
     with pytest.raises(error):
         call()
+
+
+def test_suspension_check_names_the_cutoff_it_was_given():
+    # checked where it enters, not as the max_degree + 1 of the shifted context
+    with pytest.raises(ValidationError, match=r"max_degree must be an integer, got 4\.0$"):
+        suspension_check(CTX, 4.0, 4)
 
 
 def _both_elements(coeff):
